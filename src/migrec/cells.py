@@ -38,7 +38,12 @@ _DATE_NUMERIC = re.compile(r"^\s*([0-3]?\d)\s*[./\s]\s*([01]?\d)\s*[./]?\s*$")
 
 
 def classify_cell(probs: Sequence[float]) -> str:
-    """Most likely cell type; ties broken single > multi > repetition > empty."""
+    """Most likely cell type; ties broken single > multi > repetition > empty.
+
+    Validates ``probs`` first.  Routing and assembly read grid cells with
+    ``dominant_class`` instead: those were validated when their document
+    was read, or carry the constant ``EMPTY_PRIOR``.
+    """
     normalize_class_probs(probs)
     return dominant_class(probs)
 
@@ -65,7 +70,7 @@ def route_cells(grid: GridTable) -> list[RecognitionTask]:
     tasks: list[RecognitionTask] = []
     for r, row in enumerate(grid.cells):
         for c, cell in enumerate(row):
-            kind = classify_cell(cell.hyp.class_probs)
+            kind = dominant_class(cell.hyp.class_probs)
             if kind in ("empty", "repetition"):
                 continue
             if kind == "single_line":
@@ -302,7 +307,7 @@ def assemble_records(
     """
     n_rows, n_cols = grid.n_rows, grid.n_cols
     types = [
-        [classify_cell(grid.cells[r][c].hyp.class_probs) for c in range(n_cols)]
+        [dominant_class(grid.cells[r][c].hyp.class_probs) for c in range(n_cols)]
         for r in range(n_rows)
     ]
     raw_texts = [[cell_text(grid.cells[r][c].hyp) for c in range(n_cols)] for r in range(n_rows)]

@@ -26,8 +26,6 @@ from .interchange import Box
 
 log = logging.getLogger(__name__)
 
-YEAR_SOURCES = ("observed", "corrected", "interpolated")
-
 # Recognition sometimes renders a '1' as a slash ("19/4" for 1914);
 # substituting it back is the one separator repair applied.
 _SEPARATOR_REPAIRS = {"/": "1"}

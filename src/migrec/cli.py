@@ -11,6 +11,7 @@ normalization and de-duplication, and per-year/per-parish aggregation.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -604,15 +605,14 @@ def cmd_aggregate(
         else:
             parish_counts[(record.parish_canonical, record.direction)] += 1
 
-    lines = ["year,direction,count"]
-    for (year, direction), count in sorted(year_counts.items()):
-        lines.append(f"{year},{direction},{count}")
-    (out / "aggregate_years.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["parish,direction,count"]
-    for (name, direction), count in sorted(parish_counts.items()):
-        lines.append(f"{name},{direction},{count}")
-    (out / "aggregate_parishes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for name, header, counts in (
+        ("aggregate_years.csv", ("year", "direction", "count"), year_counts),
+        ("aggregate_parishes.csv", ("parish", "direction", "count"), parish_counts),
+    ):
+        with open(out / name, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows((*key, count) for key, count in sorted(counts.items()))
 
     summary = {
         "records": len(records),
@@ -660,7 +660,8 @@ def cmd_report(eval_dir: str, stream=None) -> int:
         if not path.exists():
             continue
         found = True
-        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
         widths = [max(len(row[i]) if i < len(row) else 0 for row in rows) for i in range(max(map(len, rows)))]
         print(f"== {name}", file=stream)
         for row in rows:

@@ -17,22 +17,39 @@ from typing import Iterable, Sequence
 from .interchange import Box
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit costs at character granularity."""
+def edit_distance(a: str, b: str, bound: int | None = None) -> int:
+    """Levenshtein distance with unit costs at character granularity.
+
+    With ``bound`` the result is ``min(distance, bound + 1)``: the DP stops
+    as soon as every entry of a row exceeds the bound (Ukkonen's cutoff),
+    since no later row can fall below its predecessor's minimum.  Without a
+    bound the full distance is returned.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    if bound is not None and abs(len(a) - len(b)) > bound:
+        return bound + 1
+    if not a or not b:
+        return len(a) + len(b)
     prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         cur = [i]
+        diag, left = i - 1, i
         for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            cur.append(min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1] + cost))
+            # min(diag + cost, up + 1, left + 1), without min()'s call cost
+            up = prev[j]
+            value = diag if ca == cb else diag + 1
+            if up < value:
+                value = up + 1
+            if left < value:
+                value = left + 1
+            cur.append(value)
+            diag = up
+            left = value
+        if bound is not None and min(cur) > bound:
+            return bound + 1
         prev = cur
-    return prev[-1]
+    return prev[-1] if bound is None else min(prev[-1], bound + 1)
 
 
 def cer(pred: str, ref: str) -> float:
@@ -77,7 +94,7 @@ def _text_metrics(label: str, pairs: Sequence[tuple[str, str]]) -> TextMetrics:
     if not pairs:
         return TextMetrics(label, 0.0, 0.0, 0.0, 0)
     total_dist = sum(edit_distance(p, r) for p, r in pairs)
-    total_len = sum(len(r) for r in pairs_refs(pairs))
+    total_len = sum(len(r) for _, r in pairs)
     return TextMetrics(
         label=label,
         exact_match=corpus_exact_match(pairs),
@@ -85,10 +102,6 @@ def _text_metrics(label: str, pairs: Sequence[tuple[str, str]]) -> TextMetrics:
         avg_ref_length=total_len / len(pairs),
         support=len(pairs),
     )
-
-
-def pairs_refs(pairs: Sequence[tuple[str, str]]) -> list[str]:
-    return [r for _, r in pairs]
 
 
 def split_metrics(pairs: Sequence[tuple[str, str]]) -> list[TextMetrics]:

@@ -20,7 +20,6 @@ from .interchange import Box, CellHypothesis
 log = logging.getLogger(__name__)
 
 NOISE = -1
-_UNVISITED = -2
 
 Axis = Literal["row", "col"]
 

@@ -271,10 +271,15 @@ def normalize_class_probs(
 
 
 def validate_cell(cell: CellHypothesis, path: str) -> None:
+    _validate_cell(cell, path, probs_checked=False)
+
+
+def _validate_cell(cell: CellHypothesis, path: str, probs_checked: bool) -> None:
     validate_box(cell.box, f"{path}.box")
-    probs = normalize_class_probs(cell.class_probs, f"{path}.class_probs")
-    if any(abs(a - b) > 0 for a, b in zip(probs, cell.class_probs)):
-        raise ValidationError("class probabilities are not normalized", f"{path}.class_probs")
+    if not probs_checked:
+        probs = normalize_class_probs(cell.class_probs, f"{path}.class_probs")
+        if any(abs(a - b) > 0 for a, b in zip(probs, cell.class_probs)):
+            raise ValidationError("class probabilities are not normalized", f"{path}.class_probs")
     if cell.lines and dominant_class(cell.class_probs) != "multi_line":
         raise ValidationError(
             "line boxes present but dominant class is not multi_line", f"{path}.lines"
@@ -295,6 +300,10 @@ def validate_text(t: TextHypothesis, path: str) -> None:
 
 
 def validate_document(doc: DetectionDocument) -> None:
+    _validate_document(doc, probs_checked=False)
+
+
+def _validate_document(doc: DetectionDocument, probs_checked: bool) -> None:
     if not doc.opening_id:
         raise ValidationError("opening_id must be non-empty", "opening_id")
     if not doc.book_id:
@@ -315,7 +324,7 @@ def validate_document(doc: DetectionDocument) -> None:
         validate_box(table.box, f"{tpath}.box")
         for c, cell in enumerate(table.cells):
             cpath = f"{tpath}.cells[{c}]"
-            validate_cell(cell, cpath)
+            _validate_cell(cell, cpath, probs_checked)
             tol = CELL_CLAMP_TOLERANCE
             if (
                 cell.box.x_min < table.box.x_min - tol
@@ -521,7 +530,8 @@ def read_document(path: str) -> DetectionDocument:
         tables=tuple(TableDetection(box, tuple(cells)) for box, cells in tables),
         year_detections=tuple(years),
     )
-    validate_document(doc)
+    # each class distribution was validated and renormalized at parse
+    _validate_document(doc, probs_checked=True)
     return doc
 
 
@@ -540,6 +550,17 @@ _RECORD_COLUMNS = (
     "flags",
 )
 _FIELD_PREFIX = "field:"
+_JSONL_KEYS = (
+    "book_id",
+    "opening_id",
+    "page_side",
+    "year",
+    "direction",
+    "fields",
+    "parish_raw",
+    "parish_canonical",
+    "flags",
+)
 
 
 def _field_labels(records: Iterable[MigrationRecord]) -> list[str]:
@@ -596,7 +617,12 @@ def write_records(records: Sequence[MigrationRecord], path: str, format: str = "
 
 
 def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
-    """Parse a record file written by :func:`write_records`."""
+    """Parse a record file written by :func:`write_records`.
+
+    A malformed row raises :class:`ParseError` naming its line and field:
+    a CSV row must have exactly the header's cells (blank lines are
+    skipped), and a JSONL record every key :func:`write_records` writes.
+    """
     records: list[MigrationRecord] = []
     if format == "csv":
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -609,13 +635,32 @@ def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
                 raise ParseError("unexpected CSV header", "line 1")
             labels = [c[len(_FIELD_PREFIX) :] for c in head[len(_RECORD_COLUMNS) :]]
             for row in reader:
+                if not row:
+                    continue
+                where = f"line {reader.line_num}"
+                if len(row) < len(head):
+                    raise ParseError(
+                        f"row has {len(row)} cells, the header {len(head)}",
+                        f"{where}: {head[len(row)]}",
+                    )
+                if len(row) > len(head):
+                    raise ParseError(
+                        f"row has {len(row)} cells, the header {len(head)}",
+                        f"{where}: column {len(head) + 1}",
+                    )
                 fixed, rest = row[: len(_RECORD_COLUMNS)], row[len(_RECORD_COLUMNS) :]
+                try:
+                    year = int(fixed[3]) if fixed[3] else None
+                except ValueError:
+                    raise ParseError(
+                        f"year must be an integer, not {fixed[3]!r}", f"{where}: year"
+                    ) from None
                 records.append(
                     MigrationRecord(
                         book_id=fixed[0],
                         opening_id=fixed[1],
                         page_side=fixed[2],
-                        year=int(fixed[3]) if fixed[3] else None,
+                        year=year,
                         direction=fixed[4],
                         parish_raw=fixed[5] or None,
                         parish_canonical=fixed[6] or None,
@@ -628,16 +673,29 @@ def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
             for lineno, raw in enumerate(handle, start=1):
                 if not raw.strip():
                     continue
+                where = f"line {lineno}"
                 try:
                     obj = json.loads(raw)
                 except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON ({exc.msg})", f"line {lineno}") from exc
+                    raise ParseError(f"invalid JSON ({exc.msg})", where) from exc
+                if not isinstance(obj, dict):
+                    raise ParseError("expected a JSON object", where)
+                for key in _JSONL_KEYS:
+                    if key not in obj:
+                        raise ParseError("missing record field", f"{where}: {key}")
+                year = obj["year"]
+                if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
+                    raise ParseError(f"year must be an integer or null, not {year!r}", f"{where}: year")
+                if not isinstance(obj["fields"], dict):
+                    raise ParseError("fields must be an object", f"{where}: fields")
+                if not isinstance(obj["flags"], list):
+                    raise ParseError("flags must be a list", f"{where}: flags")
                 records.append(
                     MigrationRecord(
                         book_id=obj["book_id"],
                         opening_id=obj["opening_id"],
                         page_side=obj["page_side"],
-                        year=obj["year"],
+                        year=year,
                         direction=obj["direction"],
                         fields=dict(obj["fields"]),
                         parish_raw=obj["parish_raw"],

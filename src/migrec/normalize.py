@@ -35,6 +35,10 @@ class Gazetteer:
 
     entries: dict[str, frozenset[str]]
     _lookup: dict[str, str] = field(init=False, repr=False, compare=False)
+    # form length -> ((folded form, canonical), ...), for the bounded search
+    _by_length: dict[int, tuple[tuple[str, str], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         lookup: dict[str, str] = {}
@@ -49,7 +53,11 @@ class Gazetteer:
                         f"variant {form!r} maps to both {owner!r} and {canonical!r}"
                     )
                 lookup[folded] = canonical
+        by_length: dict[int, list[tuple[str, str]]] = {}
+        for folded, canonical in lookup.items():
+            by_length.setdefault(len(folded), []).append((folded, canonical))
         object.__setattr__(self, "_lookup", lookup)
+        object.__setattr__(self, "_by_length", {n: tuple(f) for n, f in by_length.items()})
 
     @property
     def forms(self) -> Mapping[str, str]:
@@ -130,6 +138,15 @@ def match_parish(raw: str, gazetteer: Gazetteer, max_rel_dist: float = 0.25) -> 
     d / max(len) <= max_rel_dist and the best candidate parish is unique;
     a tie across different parishes is reported as unmatched with the
     candidates listed, never guessed.
+
+    The search is exact but bounded: forms are visited in order of
+    increasing length gap to the folded name, which is a lower bound on
+    their distance, so the search ends once that gap exceeds the best
+    distance found so far, and each DP gives up once it exceeds it
+    (:func:`edit_distance` with ``bound``).  Only the best distance prunes,
+    never ``max_rel_dist``: the candidates of a tie beyond the cap are part
+    of the result.  Callers that match many names memoize per call site
+    (``process_book`` keeps one ``raw -> MatchResult`` dict per book).
     """
     folded = _fold(raw)
     if not folded:
@@ -147,13 +164,17 @@ def match_parish(raw: str, gazetteer: Gazetteer, max_rel_dist: float = 0.25) -> 
 
     best_dist: int | None = None
     best_forms: list[tuple[str, str]] = []  # (form, canonical) at best_dist
-    for form, canonical in gazetteer.forms.items():
-        d = edit_distance(folded, form)
-        if best_dist is None or d < best_dist:
-            best_dist = d
-            best_forms = [(form, canonical)]
-        elif d == best_dist:
-            best_forms.append((form, canonical))
+    n = len(folded)
+    for length in sorted(gazetteer._by_length, key=lambda m: abs(m - n)):
+        if best_dist is not None and abs(length - n) > best_dist:
+            break
+        for form, canonical in gazetteer._by_length[length]:
+            d = edit_distance(folded, form, bound=best_dist)
+            if best_dist is None or d < best_dist:
+                best_dist = d
+                best_forms = [(form, canonical)]
+            elif d == best_dist:
+                best_forms.append((form, canonical))
     if best_dist is None:
         return MatchResult(None, 0.0, "unmatched")
 

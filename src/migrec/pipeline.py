@@ -32,7 +32,7 @@ from .interchange import (
     MigrationRecord,
     read_document,
 )
-from .normalize import Gazetteer, match_parish
+from .normalize import Gazetteer, MatchResult, match_parish
 
 log = logging.getLogger(__name__)
 
@@ -224,10 +224,17 @@ def process_book(
             summary["rows_with_inferred_cells"] += 1
 
     if options.gazetteer is not None:
+        # A book repeats few distinct parish strings.  The memo lives for
+        # this call only, so every call does the work a fresh run does.
+        memo: dict[str, MatchResult] = {}
         matched = []
         for record in records:
             if record.parish_raw:
-                result = match_parish(record.parish_raw, options.gazetteer, options.max_rel_dist)
+                result = memo.get(record.parish_raw)
+                if result is None:
+                    result = memo[record.parish_raw] = match_parish(
+                        record.parish_raw, options.gazetteer, options.max_rel_dist
+                    )
                 summary[f"parish_{result.method}"] += 1
                 if result.canonical is not None:
                     record = replace(record, parish_canonical=result.canonical)

@@ -154,3 +154,56 @@ def fill_repetitions_reference(column):
         else:
             out.append(text)
     return out
+
+
+def match_parish_reference(raw, gazetteer, max_rel_dist):
+    """Brute-force parish match: full-matrix distance to every known form.
+
+    Same rules as the library: case and whitespace folded; exact and
+    variant hits first; a colon abbreviation is expanded when its prefix
+    and suffix fit the forms of exactly one parish; otherwise the nearest
+    forms decide, and a tie across parishes is unmatched with its
+    candidates listed whatever the cap.  Returns (canonical, score,
+    method, candidates).
+    """
+
+    def fold(name):
+        return " ".join(name.casefold().split())
+
+    unmatched = (None, 0.0, "unmatched", ())
+    folded = fold(raw)
+    if not folded:
+        return unmatched
+    owner = {}
+    for canonical, variants in gazetteer.entries.items():
+        for form in (canonical, *variants):
+            owner[fold(form)] = canonical
+    if folded in owner:
+        canonical = owner[folded]
+        return (canonical, 1.0, "exact" if folded == fold(canonical) else "variant", ())
+    if ":" in folded:
+        prefix, _, suffix = folded.partition(":")
+        prefix, suffix = prefix.strip(), suffix.strip()
+        if prefix and suffix:
+            fits = {
+                canonical
+                for form, canonical in owner.items()
+                if form.startswith(prefix)
+                and form.endswith(suffix)
+                and len(form) >= len(prefix) + len(suffix)
+            }
+            if len(fits) == 1:
+                return (fits.pop(), 1.0, "variant", ())
+    if not owner:
+        return unmatched
+    dist = {form: edit_distance_reference(folded, form) for form in owner}
+    best = min(dist.values())
+    nearest = [form for form, d in dist.items() if d == best]
+    candidates = sorted({owner[form] for form in nearest})
+    if len(candidates) > 1:
+        return (None, 0.0, "unmatched", tuple(candidates))
+    form = max(nearest, key=lambda f: (len(f), f))
+    rel = best / max(len(folded), len(form))
+    if rel <= max_rel_dist:
+        return (candidates[0], 1.0 - rel, "fuzzy", ())
+    return unmatched

@@ -18,7 +18,7 @@ from migrec.cells import (
     write_schema_file,
 )
 from migrec.gridrec import Band, GridCell, GridTable
-from migrec.interchange import Box, CellHypothesis, CellLine, TextHypothesis
+from migrec.interchange import Box, CellHypothesis, CellLine, TextHypothesis, ValidationError
 
 from oracles import fill_repetitions_reference
 
@@ -83,6 +83,20 @@ def test_classify_tie_priority():
 def test_classify_rejects_bad_distribution():
     with pytest.raises(Exception):
         classify_cell((0.9, 0.5, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "probs, path",
+    [
+        ((0.9, 0.0, 0.0, 0.0), "class_probs"),
+        ((1.0, 0.0, 0.0), "class_probs"),
+        ((1.2, -0.2, 0.0, 0.0), "class_probs[0]"),
+    ],
+)
+def test_classify_raises_validation_error_with_path(probs, path):
+    with pytest.raises(ValidationError) as err:
+        classify_cell(probs)
+    assert err.value.path == path
 
 
 @given(st.lists(st.floats(0.001, 1.0, width=64), min_size=4, max_size=4))

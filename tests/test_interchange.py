@@ -246,3 +246,97 @@ def test_record_validation_rejects_unknown_flag(tmp_path):
     record = make_record(flags=frozenset({"bogus"}))
     with pytest.raises(ValidationError):
         write_records([record], str(tmp_path / "x.csv"), format="csv")
+
+
+# --- malformed record files -------------------------------------------------
+
+
+def write_csv_records(tmp_path, *rows):
+    path = tmp_path / "records.csv"
+    write_records([make_record(0)], str(path), format="csv")
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text("\n".join((header,) + rows) + "\n", encoding="utf-8")
+    return path
+
+
+def test_short_csv_row_names_line_and_field(tmp_path):
+    path = write_csv_records(tmp_path, "book1,op0,left,1880,in,Åbo,Turku,", "book1,op1,left")
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format="csv")
+    assert err.value.path == "line 2: field:ref_no"
+    with pytest.raises(ParseError) as err:
+        read_records(str(write_csv_records(tmp_path, "book1,op1,left")), format="csv")
+    assert err.value.path == "line 2: year"
+
+
+def test_csv_cell_beyond_header_is_an_error(tmp_path):
+    path = write_csv_records(tmp_path, "book1,op0,left,1880,in,Åbo,Turku,,0,P,Turku,extra")
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format="csv")
+    assert err.value.path == "line 2: column 12"
+
+
+def test_csv_non_integer_year_names_line_and_field(tmp_path):
+    path = write_csv_records(tmp_path, "book1,op0,left,18x0,in,Åbo,Turku,,0,P,Turku")
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format="csv")
+    assert err.value.path == "line 2: year"
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = write_csv_records(tmp_path, "", "book1,op0,left,1880,in,Åbo,Turku,,0,P,Turku", "")
+    assert [r.year for r in read_records(str(path), format="csv")] == [1880]
+
+
+def test_jsonl_missing_key_names_line_and_field(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records([make_record(0), make_record(1)], str(path), format="jsonl")
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(first + "\n" + second.replace('"year"', '"yr"') + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format="jsonl")
+    assert err.value.path == "line 2: year"
+
+
+def test_jsonl_non_integer_year_names_line_and_field(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records([make_record(0)], str(path), format="jsonl")
+    text = path.read_text(encoding="utf-8").replace('"year": 1880', '"year": "1880"')
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format="jsonl")
+    assert err.value.path == "line 1: year"
+
+
+# --- class distributions: validated once, same error paths --------------------
+
+
+def write_cell_probs(tmp_path, probs):
+    path = tmp_path / "doc.jsonl"
+    write_document(make_document(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert '"kind": "cell"' in lines[2]
+    lines[2] = lines[2].replace('"class_probs": [1.0, 0.0, 0.0, 0.0]', f'"class_probs": {probs}')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_document_probabilities_off_by_a_tenth_fail_at_their_line(tmp_path):
+    path = write_cell_probs(tmp_path, [0.9, 0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError) as err:
+        read_document(str(path))
+    assert err.value.path == "line 3: class_probs"
+
+
+def test_document_probability_drift_is_renormalized_on_read(tmp_path):
+    path = write_cell_probs(tmp_path, [0.5004, 0.4999, 0.0, 0.0])
+    (cell,) = read_document(str(path)).tables[0].cells
+    assert cell.class_probs == normalize_class_probs((0.5004, 0.4999, 0.0, 0.0))
+    assert cell.class_probs != (0.5004, 0.4999, 0.0, 0.0)
+
+
+def test_in_memory_unnormalized_probabilities_fail_validation():
+    doc = make_document(cells=(make_cell(10, 10, 50, 30, probs=(0.5004, 0.4999, 0.0, 0.0)),))
+    with pytest.raises(ValidationError) as err:
+        validate_document(doc)
+    assert err.value.path == "tables[0].cells[0].class_probs"

@@ -15,7 +15,8 @@ from migrec.normalize import (
     multiset_jaccard,
 )
 
-from oracles import edit_distance_reference
+from migrec.synth import sample_gazetteer
+from oracles import edit_distance_reference, match_parish_reference
 
 GAZ = Gazetteer.from_pairs(
     [
@@ -115,6 +116,82 @@ def test_gazetteer_file_round_trip(tmp_path):
 @settings(max_examples=200, deadline=None)
 def test_edit_distance_matches_reference(a, b):
     assert edit_distance(a, b) == edit_distance_reference(a, b)
+
+
+@given(
+    st.text(alphabet="abcdefö", max_size=12),
+    st.text(alphabet="abcdefö", max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_bounded_edit_distance_matches_reference_at_every_bound(a, b):
+    exact = edit_distance_reference(a, b)
+    assert edit_distance(a, b, bound=None) == exact
+    for bound in range(max(len(a), len(b)) + 1):
+        assert edit_distance(a, b, bound=bound) == min(exact, bound + 1)
+
+
+# --- the bounded search against the brute-force oracle ------------------------
+
+# Near-identical forms of different parishes, so random edits often tie.
+TIE_GAZ = Gazetteer.from_pairs(
+    [
+        ("Kala", ["Kalaa"]),
+        ("Kalo", []),
+        ("Kiska", ["Kisk:a"]),
+        ("Kisko", []),
+        ("Abcd", []),
+        ("Efgh", ["E:gh"]),
+    ]
+)
+EDIT_ALPHABET = "aeiouäökls :hx"
+
+
+@st.composite
+def edited_forms(draw, gazetteer):
+    """A gazetteer form (or canonical name) after up to six random edits."""
+    chars = list(draw(st.sampled_from(sorted(gazetteer.forms) + sorted(gazetteer.entries))))
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(("delete", "insert", "substitute")))
+        if op == "insert":
+            chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(EDIT_ALPHABET)))
+        elif chars:
+            at = draw(st.integers(0, len(chars) - 1))
+            if op == "delete":
+                del chars[at]
+            else:
+                chars[at] = draw(st.sampled_from(EDIT_ALPHABET))
+    return "".join(chars)
+
+
+def as_tuple(result):
+    return (result.canonical, result.score, result.method, result.candidates)
+
+
+@pytest.mark.parametrize("cap", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("gaz", [sample_gazetteer(), TIE_GAZ], ids=["sample", "ties"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_match_parish_matches_brute_force(gaz, cap, data):
+    raw = data.draw(edited_forms(gaz))
+    assert as_tuple(match_parish(raw, gaz, cap)) == match_parish_reference(raw, gaz, cap)
+
+
+@pytest.mark.parametrize(
+    "raw, cap, expected",
+    [
+        # one edit from two parishes: a tie within the cap
+        ("Kalu", 0.25, (None, 0.0, "unmatched", ("Kala", "Kalo"))),
+        # two edits from two parishes: a tie beyond the cap keeps its candidates
+        ("Abgh", 0.25, (None, 0.0, "unmatched", ("Abcd", "Efgh"))),
+        ("Abgh", 1.0, (None, 0.0, "unmatched", ("Abcd", "Efgh"))),
+        # nearest form unique but beyond the cap
+        ("Kiskaxxx", 0.25, (None, 0.0, "unmatched", ())),
+        ("Kiskaxxx", 0.5, ("Kiska", 1.0 - 3 / 8, "fuzzy", ())),
+    ],
+)
+def test_ties_and_caps_match_brute_force(raw, cap, expected):
+    assert as_tuple(match_parish(raw, TIE_GAZ, cap)) == expected
+    assert match_parish_reference(raw, TIE_GAZ, cap) == expected
 
 
 # --- duplicate books -----------------------------------------------------------

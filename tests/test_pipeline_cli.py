@@ -1,5 +1,7 @@
 import csv
 import json
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,8 +21,8 @@ from migrec.cli import (
     cmd_years,
     main,
 )
-from migrec.interchange import read_records, write_records
-from migrec.normalize import Gazetteer
+from migrec.interchange import MigrationRecord, read_records, write_records
+from migrec.normalize import Gazetteer, match_parish
 from migrec.pipeline import PipelineOptions, group_documents_by_book, process_book
 from migrec.synth import DEFAULT_SCHEMA, SynthConfig, generate_book, sample_gazetteer, write_corpus
 
@@ -78,6 +80,49 @@ def test_extract_is_worker_count_invariant(corpus, tmp_path):
         assert code == EXIT_OK
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_parish_memo_gives_the_unmemoized_records(tmp_path, monkeypatch):
+    book = generate_book(SynthConfig(seed=7, char_noise_prob=0.05), 6)
+    paths = write_corpus([book], tmp_path / "corpus")
+    options = standard_options(paths)
+    ((book_id, files),) = group_documents_by_book(
+        [str(p) for p in Path(paths["observed"]).glob("*.jsonl")]
+    ).items()
+
+    # every record matched on its own, as without the memo
+    bare = process_book(book_id, files, replace(options, gazetteer=None))
+    expected = []
+    for record in bare.records:
+        if record.parish_raw:
+            result = match_parish(record.parish_raw, options.gazetteer, options.max_rel_dist)
+            if result.canonical is not None:
+                record = replace(record, parish_canonical=result.canonical)
+            else:
+                record = record.with_flags("unmatched_parish")
+        expected.append(record)
+    raws = Counter(r.parish_raw for r in bare.records if r.parish_raw)
+    assert max(raws.values()) > 1  # the book repeats a raw parish string
+
+    calls = []
+
+    def counted(raw, *args):
+        calls.append(raw)
+        return match_parish(raw, *args)
+
+    monkeypatch.setattr("migrec.pipeline.match_parish", counted)
+    assert process_book(book_id, files, options).records == expected
+    assert sorted(calls) == sorted(raws)  # one match per distinct string
+    monkeypatch.undo()
+
+    write_records(expected, str(tmp_path / "expected.jsonl"), format="jsonl")
+    for workers in (1, 2):
+        out_path = tmp_path / f"records_{workers}.jsonl"
+        code = cmd_extract(
+            paths["observed"], str(out_path), options, workers=workers, records_format="jsonl"
+        )
+        assert code == EXIT_OK
+        assert out_path.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 def test_extract_isolates_malformed_documents(corpus, tmp_path):
@@ -224,6 +269,35 @@ def test_aggregate_parish_filter(tmp_path, corpus):
     cmd_aggregate(str(records_path), str(out_dir), parish=target)
     rows = list(csv.DictReader((out_dir / "aggregate_parishes.csv").open()))
     assert {r["parish"] for r in rows} == {target}
+
+
+def test_aggregate_csv_round_trips_a_comma_in_a_parish(tmp_path):
+    records = [
+        MigrationRecord("b", "o1", "left", "in", 1880, {"x": "1"}, "Pyhäjärvi", "Pyhäjärvi, Ol"),
+        MigrationRecord("b", "o2", "left", "out", 1881, {"x": "2"}, "Turku", "Turku"),
+    ]
+    path = tmp_path / "r.jsonl"
+    write_records(records, str(path), format="jsonl")
+    out_dir = tmp_path / "agg"
+    assert cmd_aggregate(str(path), str(out_dir)) == EXIT_OK
+    with (out_dir / "aggregate_parishes.csv").open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [
+        ["parish", "direction", "count"],
+        ["Pyhäjärvi, Ol", "in", "1"],
+        ["Turku", "out", "1"],
+    ]
+    text = (out_dir / "aggregate_years.csv").read_text(encoding="utf-8")
+    assert text == "year,direction,count\n1880,in,1\n1881,out,1\n"
+
+
+def test_cmd_report_reads_quoted_cells(tmp_path, capsys):
+    (tmp_path / "text_metrics.csv").write_text(
+        'split,support\n"Pyhäjärvi, Ol",12\n', encoding="utf-8"
+    )
+    assert cmd_report(str(tmp_path)) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["split          support", "Pyhäjärvi, Ol  12     "]
 
 
 def test_cmd_synth_writes_corpus(tmp_path):

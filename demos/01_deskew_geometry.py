@@ -67,10 +67,12 @@ for name, (h, top, bottom) in {
     print(f"  {name}: {angle:+12.2e}")
 
 # stage-II refinement patches: 15% of each dimension, mirrored so the
-# keypoint always sits near the patch's top-left corner
+# keypoint always sits near the patch's top-left corner; rotated corners
+# can fall outside the image, so each point is clamped into it first
 print("\nrefinement patches around each keypoint:")
 for name, p in zip("abcdef", skewed.as_tuple()):
-    spec = make_patch_spec(Point(round(p.x), round(p.y)), WIDTH, HEIGHT)
+    inside = Point(min(max(round(p.x), 0), WIDTH), min(max(round(p.y), 0), HEIGHT))
+    spec = make_patch_spec(inside, WIDTH, HEIGHT)
     flags = f"mirror_h={spec.mirror_horizontal!s:5} mirror_v={spec.mirror_vertical!s:5}"
     print(
         f"  {name}: region=({spec.region.x_min:6.0f},{spec.region.y_min:6.0f})"

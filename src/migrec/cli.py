@@ -208,7 +208,11 @@ def cmd_extract(
 
 
 def _deskewed_geometry(doc: DetectionDocument):
-    """Tables/cells/rows/cols boxes of a document in de-skewed coordinates."""
+    """Table and cell boxes of a document in de-skewed coordinates.
+
+    Returns ``(tables, (h_left, h_right))`` with the solved per-page
+    transforms, both None when the document has no keypoints.
+    """
     h_left = h_right = None
     if doc.keypoints is not None:
         h_left, h_right = deskew_transforms(doc.keypoints, doc.image_width, doc.image_height)
@@ -224,7 +228,7 @@ def _deskewed_geometry(doc: DetectionDocument):
             cbox = transform_box(h, cell.box) if h is not None else cell.box
             cells.append((cbox, cell))
         tables.append((box, cells))
-    return tables
+    return tables, (h_left, h_right)
 
 
 def _grid_boxes(tables, grid_cfg: GridConfig):
@@ -299,8 +303,8 @@ def cmd_eval(
         pred_doc = read_document(pred_files[name])
         layout = gold_doc.layout_type
 
-        gold_tables = _deskewed_geometry(gold_doc)
-        pred_tables = _deskewed_geometry(pred_doc)
+        gold_tables, _ = _deskewed_geometry(gold_doc)
+        pred_tables, pred_transforms = _deskewed_geometry(pred_doc)
 
         counts, _ = ev.match_detections(
             [b for b, _ in pred_tables], [b for b, _ in gold_tables]
@@ -363,7 +367,7 @@ def cmd_eval(
             base_angles["left"].append(edge_angle_from_vertical(kp.a, kp.d))
             base_angles["middle"].append(edge_angle_from_vertical(kp.b, kp.e))
             base_angles["right"].append(edge_angle_from_vertical(kp.c, kp.f))
-            h_left, h_right = deskew_transforms(kp, pred_doc.image_width, pred_doc.image_height)
+            h_left, h_right = pred_transforms
             deskew_angles["left"].append(
                 edge_angle_from_vertical(apply_point(h_left, kp.a), apply_point(h_left, kp.d))
             )
@@ -659,9 +663,12 @@ def cmd_report(eval_dir: str, stream=None) -> int:
         path = directory / name
         if not path.exists():
             continue
-        found = True
         with open(path, encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
+        if not rows:
+            log.warning("skipping empty report %s", path)
+            continue
+        found = True
         widths = [max(len(row[i]) if i < len(row) else 0 for row in rows) for i in range(max(map(len, rows)))]
         print(f"== {name}", file=stream)
         for row in rows:

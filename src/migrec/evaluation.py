@@ -90,28 +90,38 @@ class TextMetrics:
     support: int
 
 
-def _text_metrics(label: str, pairs: Sequence[tuple[str, str]]) -> TextMetrics:
-    if not pairs:
+def _text_metrics(label: str, support: int, exact: int, dist: int, ref_len: int) -> TextMetrics:
+    if not support:
         return TextMetrics(label, 0.0, 0.0, 0.0, 0)
-    total_dist = sum(edit_distance(p, r) for p, r in pairs)
-    total_len = sum(len(r) for _, r in pairs)
     return TextMetrics(
         label=label,
-        exact_match=corpus_exact_match(pairs),
-        cer=total_dist / total_len if total_len else 0.0,
-        avg_ref_length=total_len / len(pairs),
-        support=len(pairs),
+        exact_match=100.0 * exact / support,
+        cer=dist / ref_len if ref_len else 0.0,
+        avg_ref_length=ref_len / support,
+        support=support,
     )
 
 
 def split_metrics(pairs: Sequence[tuple[str, str]]) -> list[TextMetrics]:
-    """EM/CER for textual lines, numeric lines, and all lines together."""
-    textual = [(p, r) for p, r in pairs if is_textual_line(r)]
-    numeric = [(p, r) for p, r in pairs if not is_textual_line(r)]
+    """EM/CER for textual lines, numeric lines, and all lines together.
+
+    Each pair's edit distance is computed once and summed into its class
+    row and into the "all" row; the sums are integers, so every row equals
+    scoring its subset on its own.
+    """
+    # per class: [support, exact matches, total edit distance, total reference length]
+    totals = {"textual": [0, 0, 0, 0], "numeric": [0, 0, 0, 0]}
+    for p, r in pairs:
+        row = totals["textual" if is_textual_line(r) else "numeric"]
+        row[0] += 1
+        row[1] += exact_match(p, r)
+        row[2] += edit_distance(p, r)
+        row[3] += len(r)
+    both = [t + n for t, n in zip(totals["textual"], totals["numeric"])]
     return [
-        _text_metrics("textual", textual),
-        _text_metrics("numeric", numeric),
-        _text_metrics("all", list(pairs)),
+        _text_metrics("textual", *totals["textual"]),
+        _text_metrics("numeric", *totals["numeric"]),
+        _text_metrics("all", *both),
     ]
 
 
@@ -154,15 +164,45 @@ def match_detections(
     descending IoU order (ties broken by earlier prediction index, then
     earlier ground-truth index); matched pairs are true positives, leftover
     predictions false positives, leftover ground truths false negatives.
+
+    Candidates come from a sort-and-sweep over both lists by ``x_min``:
+    each box is scored only against the boxes of the other side that are
+    still open (``x_max`` above its ``x_min``) and whose y-interval
+    overlaps its own.  This is exact for finite coordinates.  :func:`iou`
+    is 0 unless ``min(x_max) - max(x_min) > 0`` and the same holds for y,
+    and for finite floats ``u - v > 0`` exactly when ``u > v``; of two
+    boxes, the one swept later has the larger ``x_min``, so they overlap
+    in x only if the earlier one is still open.  Since ``thr > 0``, every
+    pair that could score above it is scored, and sorting the same
+    ``(-score, pred index, gold index)`` triples gives the same greedy
+    order as scoring all pairs.
     """
     if not 0.0 < thr <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
+    events = sorted(
+        [(b.x_min, 0, i) for i, b in enumerate(pred)]
+        + [(b.x_min, 1, i) for i, b in enumerate(gold)]
+    )
+    sides = (pred, gold)
+    open_ids: tuple[list[int], list[int]] = ([], [])
     scored = []
-    for pi, p in enumerate(pred):
-        for gi, g in enumerate(gold):
-            score = iou(p, g)
+    for x, side, i in events:
+        box = sides[side][i]
+        others = sides[1 - side]
+        still_open = []
+        for j in open_ids[1 - side]:
+            other = others[j]
+            if other.x_max <= x:
+                continue  # closed: no later box (x_min >= x) overlaps it either
+            still_open.append(j)
+            if other.y_max <= box.y_min or box.y_max <= other.y_min:
+                continue
+            pi, gi = (i, j) if side == 0 else (j, i)
+            score = iou(pred[pi], gold[gi])
             if score > thr:
                 scored.append((-score, pi, gi))
+        open_ids[1 - side][:] = still_open
+        open_ids[side].append(i)
     scored.sort()
     used_pred: set[int] = set()
     used_gold: set[int] = set()

@@ -622,6 +622,8 @@ def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
     A malformed row raises :class:`ParseError` naming its line and field:
     a CSV row must have exactly the header's cells (blank lines are
     skipped), and a JSONL record every key :func:`write_records` writes.
+    Each record is validated as it is parsed, so an invalid value raises
+    :class:`ValidationError` at ``line N: record.<field>``.
     """
     records: list[MigrationRecord] = []
     if format == "csv":
@@ -655,19 +657,19 @@ def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
                     raise ParseError(
                         f"year must be an integer, not {fixed[3]!r}", f"{where}: year"
                     ) from None
-                records.append(
-                    MigrationRecord(
-                        book_id=fixed[0],
-                        opening_id=fixed[1],
-                        page_side=fixed[2],
-                        year=year,
-                        direction=fixed[4],
-                        parish_raw=fixed[5] or None,
-                        parish_canonical=fixed[6] or None,
-                        flags=frozenset(f for f in fixed[7].split(";") if f),
-                        fields=dict(zip(labels, rest)),
-                    )
+                record = MigrationRecord(
+                    book_id=fixed[0],
+                    opening_id=fixed[1],
+                    page_side=fixed[2],
+                    year=year,
+                    direction=fixed[4],
+                    parish_raw=fixed[5] or None,
+                    parish_canonical=fixed[6] or None,
+                    flags=frozenset(f for f in fixed[7].split(";") if f),
+                    fields=dict(zip(labels, rest)),
                 )
+                validate_record(record, f"{where}: record")
+                records.append(record)
     elif format == "jsonl":
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -690,21 +692,19 @@ def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
                     raise ParseError("fields must be an object", f"{where}: fields")
                 if not isinstance(obj["flags"], list):
                     raise ParseError("flags must be a list", f"{where}: flags")
-                records.append(
-                    MigrationRecord(
-                        book_id=obj["book_id"],
-                        opening_id=obj["opening_id"],
-                        page_side=obj["page_side"],
-                        year=year,
-                        direction=obj["direction"],
-                        fields=dict(obj["fields"]),
-                        parish_raw=obj["parish_raw"],
-                        parish_canonical=obj["parish_canonical"],
-                        flags=frozenset(obj["flags"]),
-                    )
+                record = MigrationRecord(
+                    book_id=obj["book_id"],
+                    opening_id=obj["opening_id"],
+                    page_side=obj["page_side"],
+                    year=year,
+                    direction=obj["direction"],
+                    fields=dict(obj["fields"]),
+                    parish_raw=obj["parish_raw"],
+                    parish_canonical=obj["parish_canonical"],
+                    flags=frozenset(obj["flags"]),
                 )
+                validate_record(record, f"{where}: record")
+                records.append(record)
     else:
         raise ValueError(f"unknown record format {format!r}")
-    for i, record in enumerate(records):
-        validate_record(record, f"records[{i}]")
     return records

@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used as test oracles.
 
 These deliberately avoid the library's code paths: quadratic neighbor
-search for DBSCAN, a full-matrix edit distance, exhaustive matching and
-exhaustive year-sequence search.  Keep them dumb.
+search for DBSCAN, a full-matrix edit distance, all-pairs and exhaustive
+box matching and exhaustive year-sequence search.  Keep them dumb.
 """
 
 from __future__ import annotations
@@ -95,6 +95,54 @@ def optimal_matching_tp(pred, gold, thr, iou_fn) -> int:
         )
         best = max(best, tp)
     return best
+
+
+def match_detections_reference(pred, gold, thr, iou_fn):
+    """All-pairs greedy box matching: the contract of ``match_detections``.
+
+    Scores every (pred, gold) pair, keeps IoU strictly above the threshold,
+    and takes pairs by descending IoU, then earlier prediction, then earlier
+    ground truth, each box at most once.  Returns ((tp, fp, fn), pairing)
+    with pairing as (pred index, gold index, IoU) in the order taken.
+    """
+    scored = sorted(
+        (-iou_fn(p, g), pi, gi)
+        for pi, p in enumerate(pred)
+        for gi, g in enumerate(gold)
+        if iou_fn(p, g) > thr
+    )
+    used_pred, used_gold, pairing = set(), set(), []
+    for neg_score, pi, gi in scored:
+        if pi not in used_pred and gi not in used_gold:
+            used_pred.add(pi)
+            used_gold.add(gi)
+            pairing.append((pi, gi, -neg_score))
+    tp = len(pairing)
+    return (tp, len(pred) - tp, len(gold) - tp), pairing
+
+
+def split_metrics_reference(pairs, edit_distance_fn):
+    """Text metric rows scored subset by subset, as (label, EM %, CER,
+    average reference length, support): textual references contain a
+    letter, numeric ones do not, and "all" is every pair."""
+    subsets = (
+        ("textual", [(p, r) for p, r in pairs if any(ch.isalpha() for ch in r)]),
+        ("numeric", [(p, r) for p, r in pairs if not any(ch.isalpha() for ch in r)]),
+        ("all", list(pairs)),
+    )
+    rows = []
+    for label, subset in subsets:
+        if not subset:
+            rows.append((label, 0.0, 0.0, 0.0, 0))
+            continue
+        exact = sum(1 for p, r in subset if p.strip() == r.strip())
+        dist = sum(edit_distance_fn(p, r) for p, r in subset)
+        ref_len = sum(len(r) for _, r in subset)
+        rows.append(
+            (label, 100.0 * exact / len(subset), dist / ref_len if ref_len else 0.0,
+             ref_len / len(subset), len(subset))
+        )
+    return rows
 
 
 def best_year_assignment(page_years, max_jump):

@@ -194,15 +194,15 @@ def _dbscan_bruteforce(values, eps, min_pts):
     n = len(values)
     arr = np.asarray(values, dtype=float)
     within = np.abs(arr[:, None] - arr[None, :]) <= eps
-    counts = within.sum(axis=1)
+    counts = within.sum(axis=1).tolist()
     order = sorted(range(n), key=lambda i: (values[i], i))
-    rank = np.empty(n, dtype=int)
-    for pos, idx in enumerate(order):
-        rank[idx] = pos
+    # columns in (value, position) order, so each row's neighbors come out
+    # already sorted by that order; Python ints keep the loops below cheap
+    by_rank = within[:, order]
+    order_arr = np.asarray(order, dtype=int)
 
     def neighbors(i):
-        nbrs = np.flatnonzero(within[i])
-        return nbrs[np.argsort(rank[nbrs], kind="stable")]
+        return order_arr[by_rank[i].nonzero()[0]].tolist()
 
     labels = [-2] * n
     cluster = 0
@@ -213,7 +213,7 @@ def _dbscan_bruteforce(values, eps, min_pts):
             labels[i] = -1
             continue
         labels[i] = cluster
-        queue = list(neighbors(i))
+        queue = neighbors(i)
         enqueued = set(queue)
         k = 0
         while k < len(queue):

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from migrec.evaluation import (
@@ -25,7 +26,13 @@ from migrec.evaluation import (
 )
 from migrec.interchange import Box
 
-from oracles import edit_distance_reference, iou_reference, optimal_matching_tp
+from oracles import (
+    edit_distance_reference,
+    iou_reference,
+    match_detections_reference,
+    optimal_matching_tp,
+    split_metrics_reference,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "line_classes.tsv"
 
@@ -132,6 +139,62 @@ def test_greedy_matches_exhaustive_on_most_small_instances():
     assert agreements / trials >= 0.97
 
 
+def _assert_matches_reference(pred, gold, thr):
+    counts, pairing = match_detections(pred, gold, thr)
+    ref_counts, ref_pairing = match_detections_reference(pred, gold, thr, iou)
+    assert ((counts.tp, counts.fp, counts.fn), pairing) == (ref_counts, ref_pairing)
+
+
+# coordinates on a 0.5 px grid, extents down to zero: shared x_min values,
+# duplicated boxes, touching edges and degenerate boxes are all common
+_half_px = st.integers(0, 16).map(lambda k: k / 2)
+_half_px_extent = st.integers(0, 10).map(lambda k: k / 2)
+_grid_box = st.builds(
+    lambda x, y, w, h: box(x, y, x + w, y + h), _half_px, _half_px, _half_px_extent, _half_px_extent
+)
+
+
+@st.composite
+def _box_lists(draw):
+    pool = draw(st.lists(_grid_box, min_size=1, max_size=6))
+    pick = st.one_of(st.sampled_from(pool), _grid_box)
+    return draw(st.lists(pick, max_size=12)), draw(st.lists(pick, max_size=12))
+
+
+@given(_box_lists(), st.sampled_from([1e-9, 0.1, 0.3, 0.5, 1.0]))
+@example(([], []), 0.5)
+@example(([box(0, 0, 4, 4)], []), 1e-9)
+@example(([], [box(0, 0, 4, 4)]), 1e-9)
+# duplicates with IoU-1 ties; IoU 1 is not above a threshold of 1
+@example(([box(0, 0, 4, 4)] * 3, [box(0, 0, 4, 4)] * 2), 0.5)
+@example(([box(0, 0, 4, 4)], [box(0, 0, 4, 4)]), 1.0)
+# shared x_min, touching edges, zero width and zero height
+@example(([box(0, 0, 2, 4), box(0, 0, 4, 4)], [box(0, 0, 3, 4), box(0, 1, 4, 4)]), 0.5)
+@example(([box(0, 0, 4, 4), box(4, 0, 8, 4)], [box(4, 0, 8, 4), box(0, 4, 4, 8)]), 1e-9)
+@example(([box(2, 0, 2, 4), box(0, 2, 4, 2)], [box(2, 0, 2, 4), box(0, 0, 4, 4)]), 1e-9)
+@settings(max_examples=500, deadline=None)
+def test_match_detections_equals_all_pairs_reference(lists, thr):
+    pred, gold = lists
+    _assert_matches_reference(pred, gold, thr)
+
+
+def test_match_detections_equals_reference_on_random_float_boxes():
+    rng = random.Random(31)
+    for _ in range(300):
+        n_pred, n_gold = rng.randint(0, 25), rng.randint(0, 25)
+        pred = [
+            box(x, y, x + rng.uniform(0, 30), y + rng.uniform(0, 30))
+            for x, y in ((rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n_pred))
+        ]
+        gold = [
+            box(x, y, x + rng.uniform(0, 30), y + rng.uniform(0, 30))
+            for x, y in ((rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n_gold))
+        ]
+        # a few exact copies, so IoU-1 ties between distinct indices occur
+        gold += rng.sample(pred, min(len(pred), rng.randint(0, 3)))
+        _assert_matches_reference(pred, gold, rng.choice([1e-9, 0.5, 1.0]))
+
+
 # --- metrics -----------------------------------------------------------------------
 
 
@@ -207,6 +270,16 @@ def test_edit_distance_triangle_inequality_sampled():
     for _ in range(100):
         s = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))) for _ in range(3)]
         assert edit_distance(s[0], s[2]) <= edit_distance(s[0], s[1]) + edit_distance(s[1], s[2])
+
+
+_line = st.text(alphabet="ab1 ?", max_size=8)
+
+
+@given(st.lists(st.tuples(_line, _line), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_split_metrics_equals_per_row_reference(pairs):
+    rows = [dataclasses.astuple(row) for row in split_metrics(pairs)]
+    assert rows == split_metrics_reference(pairs, edit_distance_reference)
 
 
 def test_exact_match_trims_outer_whitespace():

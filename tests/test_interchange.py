@@ -308,6 +308,28 @@ def test_jsonl_non_integer_year_names_line_and_field(tmp_path):
     assert err.value.path == "line 1: year"
 
 
+def test_csv_invalid_record_names_its_line(tmp_path):
+    path = write_csv_records(
+        tmp_path,
+        "book1,op0,left,1880,in,Åbo,Turku,,0,P,Turku",
+        "book1,op1,left,1880,sideways,Åbo,Turku,,0,P,Turku",
+    )
+    with pytest.raises(ValidationError) as err:
+        read_records(str(path), format="csv")
+    assert err.value.path == "line 3: record.direction"
+
+
+def test_jsonl_invalid_record_names_its_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records([make_record(0), make_record(1)], str(path), format="jsonl")
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    bad = second.replace('"flags": []', '"flags": ["bogus"]')
+    path.write_text(first + "\n\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        read_records(str(path), format="jsonl")
+    assert err.value.path == "line 3: record.flags"
+
+
 # --- class distributions: validated once, same error paths --------------------
 
 

@@ -300,6 +300,17 @@ def test_cmd_report_reads_quoted_cells(tmp_path, capsys):
     assert lines[1:3] == ["split          support", "Pyhäjärvi, Ol  12     "]
 
 
+def test_cmd_report_skips_empty_csv(tmp_path, capsys, caplog):
+    (tmp_path / "detection_metrics.csv").write_text("", encoding="utf-8")
+    (tmp_path / "text_metrics.csv").write_text("class,support\nall,3\n", encoding="utf-8")
+    with caplog.at_level("WARNING", logger="migrec.cli"):
+        assert cmd_report(str(tmp_path)) == EXIT_OK
+    output = capsys.readouterr().out
+    assert "detection_metrics.csv" not in output
+    assert output.splitlines()[:3] == ["== text_metrics.csv", "class  support", "all    3      "]
+    assert any("detection_metrics.csv" in r.getMessage() for r in caplog.records)
+
+
 def test_cmd_synth_writes_corpus(tmp_path):
     code = cmd_synth(str(tmp_path / "c"), SynthConfig(seed=1), books=2, openings_per_book=2)
     assert code == EXIT_OK

@@ -18,9 +18,8 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
-
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 from . import evaluation as ev
 from .cells import cell_text, read_schema_file
@@ -28,30 +27,25 @@ from .chrono import (
     ChronoConfig,
     HttpCorrectorClient,
     PageObservations,
-    YearObservation,
     evaluate_years,
-    external_correct,
     infer_sequence,
-    normalize_year_token,
 )
-from .geometry import (
-    angle_stats,
-    apply_point,
-    deskew_transforms,
-    edge_angle_from_vertical,
-    transform_box,
-)
+from .geometry import angle_stats, apply_point, edge_angle_from_vertical
 from .gridrec import GridConfig, complete_grid_with_retry
-from .interchange import (
-    Box,
-    DetectionDocument,
-    dominant_class,
-    read_document,
-    read_records,
-    write_records,
+from .interchange import Box, dominant_class, read_document, read_records, write_csv, write_records
+from .normalize import Gazetteer, detect_duplicate_books, filter_usable
+from .pipeline import (
+    DIRECTION_MODES,
+    PipelineOptions,
+    collect_years,
+    deskew_document,
+    group_documents_by_book,
+    match_parishes,
+    process_book,
+    resolve_years,
 )
-from .normalize import Gazetteer, detect_duplicate_books, filter_usable, match_parish
-from .pipeline import PipelineOptions, group_documents_by_book, process_book
+# Not called here; perfbench/tracing.py wraps these names on this module too.
+from .pipeline import deskew_transforms, normalize_year_token, transform_box  # noqa: F401
 from .synth import SynthConfig, generate_book, write_corpus
 
 log = logging.getLogger(__name__)
@@ -76,6 +70,12 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _setting(args: argparse.Namespace, config: dict[str, str], key: str, default, cast):
     """Flag value if given, else config file value, else the default."""
     flag = getattr(args, key, None)
@@ -84,7 +84,11 @@ def _setting(args: argparse.Namespace, config: dict[str, str], key: str, default
     if key in config:
         raw = config[key]
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in _BOOLEANS:
+                raise ValueError(
+                    f"config key {key}: expected one of {', '.join(_BOOLEANS)}, not {raw!r}"
+                )
+            return _BOOLEANS[raw.lower()]
         return cast(raw)
     return default
 
@@ -119,15 +123,21 @@ def _load_schemas(schema_dir: str | None) -> dict:
 
 
 def _load_book_directions(path: str | None) -> dict[str, str]:
+    """``book_id<TAB>mode`` lines; '#' comments and blank lines ignored."""
     if not path:
         return {}
     directions = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            book_id, _, mode = stripped.partition("\t")
+            book_id, tab, mode = stripped.partition("\t")
+            if not tab or mode.strip() not in DIRECTION_MODES:
+                raise ValueError(
+                    f"{path}:{lineno}: expected book_id<TAB>mode with mode one of "
+                    f"{', '.join(DIRECTION_MODES)}, not {stripped!r}"
+                )
             directions[book_id.strip()] = mode.strip()
     return directions
 
@@ -207,40 +217,16 @@ def cmd_extract(
 # ---------------------------------------------------------------------------
 
 
-def _deskewed_geometry(doc: DetectionDocument):
-    """Table and cell boxes of a document in de-skewed coordinates.
-
-    Returns ``(tables, (h_left, h_right))`` with the solved per-page
-    transforms, both None when the document has no keypoints.
-    """
-    h_left = h_right = None
-    if doc.keypoints is not None:
-        h_left, h_right = deskew_transforms(doc.keypoints, doc.image_width, doc.image_height)
-
-    tables = []
-    for table in doc.tables:
-        center = table.box.center
-        side = doc.page_side(center.x, center.y)
-        h = h_left if side == "left" else h_right
-        box = transform_box(h, table.box) if h is not None else table.box
-        cells = []
-        for cell in table.cells:
-            cbox = transform_box(h, cell.box) if h is not None else cell.box
-            cells.append((cbox, cell))
-        tables.append((box, cells))
-    return tables, (h_left, h_right)
-
-
 def _grid_boxes(tables, grid_cfg: GridConfig):
     """Row and column boxes derived from grid reconstruction per table."""
     row_boxes: list[Box] = []
     col_boxes: list[Box] = []
-    for box, cells in tables:
-        if not cells:
+    for _side, table in tables:
+        if not table.cells:
             continue
-        moved = tuple(dc_replace(c, box=b) for (b, c) in cells)
+        box = table.box
         try:
-            grid = complete_grid_with_retry(box, moved, grid_cfg)
+            grid = complete_grid_with_retry(box, table.cells, grid_cfg)
         except Exception as exc:
             log.warning("grid reconstruction failed during eval: %s", exc)
             continue
@@ -303,11 +289,11 @@ def cmd_eval(
         pred_doc = read_document(pred_files[name])
         layout = gold_doc.layout_type
 
-        gold_tables, _ = _deskewed_geometry(gold_doc)
-        pred_tables, pred_transforms = _deskewed_geometry(pred_doc)
+        gold_tables, _ = deskew_document(gold_doc)
+        pred_tables, (h_left, h_right) = deskew_document(pred_doc)
 
         counts, _ = ev.match_detections(
-            [b for b, _ in pred_tables], [b for b, _ in gold_tables]
+            [t.box for _, t in pred_tables], [t.box for _, t in gold_tables]
         )
         add_counts("tables", layout, counts)
 
@@ -318,56 +304,30 @@ def cmd_eval(
         col_counts, _ = ev.match_detections(pred_cols, gold_cols)
         add_counts("columns", layout, col_counts)
 
-        pred_cells = [(b, c) for _, cells in pred_tables for b, c in cells]
-        gold_cells = [(b, c) for _, cells in gold_tables for b, c in cells]
-        _, pairing = ev.match_detections(
-            [b for b, _ in pred_cells], [b for b, _ in gold_cells]
-        )
+        pred_cells = [c for _, t in pred_tables for c in t.cells]
+        gold_cells = [c for _, t in gold_tables for c in t.cells]
+        _, pairing = ev.match_detections([c.box for c in pred_cells], [c.box for c in gold_cells])
         for pi, gi, _score in pairing:
-            pred_class = dominant_class(pred_cells[pi][1].class_probs)
-            gold_class = dominant_class(gold_cells[gi][1].class_probs)
+            pred_class = dominant_class(pred_cells[pi].class_probs)
+            gold_class = dominant_class(gold_cells[gi].class_probs)
             confusion[(gold_class, pred_class)] += 1
             class_support[gold_class] += 1
-            gold_text = cell_text(gold_cells[gi][1])
+            gold_text = cell_text(gold_cells[gi])
             if gold_text:
-                text_pairs.append((cell_text(pred_cells[pi][1]) or "", gold_text))
+                text_pairs.append((cell_text(pred_cells[pi]) or "", gold_text))
 
-        for doc, target in ((pred_doc, years_pred_raw), (gold_doc, years_gold)):
-            for side in ("left", "right"):
-                target.setdefault((doc.opening_id, side), set())
-            for det in doc.year_detections:
-                year = normalize_year_token(det.text.text, chrono_cfg)
-                if year is not None:
-                    side = doc.page_side(det.box.center.x, det.box.center.y)
-                    target[(doc.opening_id, side)].add(year)
-        pages = []
-        for side in ("left", "right"):
-            observations = []
-            for det in pred_doc.year_detections:
-                if pred_doc.page_side(det.box.center.x, det.box.center.y) != side:
-                    continue
-                observations.append(
-                    YearObservation(
-                        opening_id=pred_doc.opening_id,
-                        side=side,
-                        raw=det.text.text,
-                        normalized=normalize_year_token(det.text.text, chrono_cfg),
-                        box=det.box,
-                    )
-                )
-            pages.append(
-                PageObservations(
-                    opening_id=pred_doc.opening_id, side=side, observations=tuple(observations)
-                )
-            )
-        books_pages.setdefault(pred_doc.book_id, []).extend(pages)
+        pred_pages = collect_years(pred_doc, chrono_cfg)
+        gold_pages = collect_years(gold_doc, chrono_cfg)
+        for by_side, target in ((pred_pages, years_pred_raw), (gold_pages, years_gold)):
+            for page in by_side.values():
+                target.setdefault((page.opening_id, page.side), set()).update(page.years())
+        books_pages.setdefault(pred_doc.book_id, []).extend(pred_pages.values())
 
         if pred_doc.keypoints is not None:
             kp = pred_doc.keypoints
             base_angles["left"].append(edge_angle_from_vertical(kp.a, kp.d))
             base_angles["middle"].append(edge_angle_from_vertical(kp.b, kp.e))
             base_angles["right"].append(edge_angle_from_vertical(kp.c, kp.f))
-            h_left, h_right = pred_transforms
             deskew_angles["left"].append(
                 edge_angle_from_vertical(apply_point(h_left, kp.a), apply_point(h_left, kp.d))
             )
@@ -395,23 +355,28 @@ def cmd_eval(
             kept = {y for y in obs.years() if page.year <= y <= upper}
             years_pred_rule[key] = {page.year} | kept
 
+    r = ev.round_half_up
+
     # --- detection metrics CSV
-    lines = ["category,layout,accuracy,recall,precision,f1,tp,fp,fn"]
+    rows = []
     for kind in ("tables", "rows", "columns"):
         for split in ("preprinted", "handdrawn", "all"):
             counts = det_counts.get((kind, split))
             if counts is None or counts.tp + counts.fp + counts.fn == 0:
                 continue
             row = ev.metrics(counts, category=f"{kind}/{split}")
-            lines.append(
-                f"{kind},{split},{ev.round_half_up(row.accuracy)},{ev.round_half_up(row.recall)},"
-                f"{ev.round_half_up(row.precision)},{ev.round_half_up(row.f1)},"
-                f"{counts.tp},{counts.fp},{counts.fn}"
+            rows.append(
+                (kind, split, r(row.accuracy), r(row.recall), r(row.precision), r(row.f1),
+                 counts.tp, counts.fp, counts.fn)
             )
-    (out / "detection_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        out / "detection_metrics.csv",
+        ("category", "layout", "accuracy", "recall", "precision", "f1", "tp", "fp", "fn"),
+        rows,
+    )
 
     # --- cell classification report CSV
-    lines = ["label,precision,recall,f1,support"]
+    rows = []
     class_rows = []
     for label in _CLASS_LABELS:
         support = class_support[label]
@@ -427,53 +392,51 @@ def cmd_eval(
     if class_rows:
         report = ev.class_report(class_rows)
         for row in report.rows:
-            lines.append(
-                f"{row.label},{ev.round_half_up(row.precision)},{ev.round_half_up(row.recall)},"
-                f"{ev.round_half_up(row.f1)},{row.support}"
-            )
+            rows.append((row.label, r(row.precision), r(row.recall), r(row.f1), row.support))
         total = report.total_support
         correct = sum(confusion[(label, label)] for label in _CLASS_LABELS)
-        lines.append(f"accuracy,,,{ev.round_half_up(100.0 * correct / total)},{total}")
-        lines.append(
-            f"macro_avg,{ev.round_half_up(report.macro_precision)},"
-            f"{ev.round_half_up(report.macro_recall)},{ev.round_half_up(report.macro_f1)},{total}"
+        rows.append(("accuracy", "", "", r(100.0 * correct / total), total))
+        rows.append(
+            ("macro_avg", r(report.macro_precision), r(report.macro_recall),
+             r(report.macro_f1), total)
         )
-        lines.append(
-            f"weighted_avg,{ev.round_half_up(report.weighted_precision)},"
-            f"{ev.round_half_up(report.weighted_recall)},{ev.round_half_up(report.weighted_f1)},{total}"
+        rows.append(
+            ("weighted_avg", r(report.weighted_precision), r(report.weighted_recall),
+             r(report.weighted_f1), total)
         )
-    (out / "cell_classification.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        out / "cell_classification.csv", ("label", "precision", "recall", "f1", "support"), rows
+    )
 
     # --- text metrics CSV ('?' references excluded, numeric/textual split)
-    usable_pairs = ev.filter_unreadable(text_pairs)
-    lines = ["class,exact_match,cer,avg_ref_length,support"]
-    for row in ev.split_metrics(usable_pairs):
-        lines.append(
-            f"{row.label},{ev.round_half_up(row.exact_match)},{round(row.cer, 4)},"
-            f"{ev.round_half_up(row.avg_ref_length)},{row.support}"
-        )
-    (out / "text_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        out / "text_metrics.csv",
+        ("class", "exact_match", "cer", "avg_ref_length", "support"),
+        (
+            (row.label, r(row.exact_match), round(row.cer, 4), r(row.avg_ref_length), row.support)
+            for row in ev.split_metrics(ev.filter_unreadable(text_pairs))
+        ),
+    )
 
     # --- year metrics CSV
-    lines = ["method,precision,recall,f1,pages"]
+    rows = []
     for method, pred in (("raw", years_pred_raw), ("rule_corrected", years_pred_rule)):
         result = evaluate_years(pred, years_gold)
-        lines.append(
-            f"{method},{ev.round_half_up(result.precision)},{ev.round_half_up(result.recall)},"
-            f"{ev.round_half_up(result.f1)},{result.pages_scored}"
+        rows.append(
+            (method, r(result.precision), r(result.recall), r(result.f1), result.pages_scored)
         )
-    (out / "year_metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out / "year_metrics.csv", ("method", "precision", "recall", "f1", "pages"), rows)
 
     # --- skew angle statistics CSV
-    lines = ["stage,edge,mean_deg,sd_deg,n"]
+    rows = []
     for stage, angles in (("base", base_angles), ("deskewed", deskew_angles)):
         for edge in ("left", "middle", "right"):
             values = angles[edge]
             if not values:
                 continue
             mean, sd = angle_stats(values)
-            lines.append(f"{stage},{edge},{mean:.6g},{sd:.6g},{len(values)}")
-    (out / "skew_angles.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rows.append((stage, edge, f"{mean:.6g}", f"{sd:.6g}", len(values)))
+    write_csv(out / "skew_angles.csv", ("stage", "edge", "mean_deg", "sd_deg", "n"), rows)
 
     log.info("evaluation reports written to %s", out)
     return EXIT_OK
@@ -491,31 +454,20 @@ def cmd_years(
     corrector=None,
 ) -> int:
     """Resolve page-side years for every book under ``in_dir``."""
-    from .pipeline import process_opening
-
     paths = _document_paths(in_dir)
     if not paths:
         log.error("no document files under %s", in_dir)
         return EXIT_FATAL
-    groups = group_documents_by_book(paths)
-    lines = ["book_id,opening_id,side,year,source"]
-    options = PipelineOptions(chrono=chrono_cfg)
-    for book_id, files in groups.items():
+    options = PipelineOptions(chrono=chrono_cfg, corrector=corrector)
+    rows = []
+    for book_id, files in group_documents_by_book(paths).items():
         pages = []
         for path in files:
-            doc = read_document(path)
-            result = process_opening(doc, options)
-            for side in ("left", "right"):
-                pages.append(result.pages[side])
+            pages.extend(collect_years(read_document(path), chrono_cfg).values())
         pages.sort(key=lambda p: (p.opening_id, p.side))
-        if corrector is not None:
-            sequence = external_correct(pages, corrector, chrono_cfg)
-        else:
-            sequence = infer_sequence(pages, chrono_cfg)
-        for page in sequence.pages:
-            year = "" if page.year is None else page.year
-            lines.append(f"{book_id},{page.opening_id},{page.side},{year},{page.source}")
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for page in resolve_years(pages, options).pages:
+            rows.append((book_id, page.opening_id, page.side, page.year, page.source))
+    write_csv(out_path, ("book_id", "opening_id", "side", "year", "source"), rows)
     return EXIT_OK
 
 
@@ -537,17 +489,7 @@ def cmd_normalize(
     gazetteer = Gazetteer.from_file(gazetteer_path)
     records = read_records(records_path, format=_records_format(records_path))
 
-    normalized = []
-    method_tally: Counter = Counter()
-    for record in records:
-        if record.parish_raw and record.parish_canonical is None:
-            result = match_parish(record.parish_raw, gazetteer, max_rel_dist)
-            method_tally[result.method] += 1
-            if result.canonical is not None:
-                record = dc_replace(record, parish_canonical=result.canonical)
-            else:
-                record = record.with_flags("unmatched_parish")
-        normalized.append(record)
+    normalized, method_tally = match_parishes(records, gazetteer, max_rel_dist)
 
     books: dict[str, list] = {}
     for record in normalized:
@@ -613,10 +555,7 @@ def cmd_aggregate(
         ("aggregate_years.csv", ("year", "direction", "count"), year_counts),
         ("aggregate_parishes.csv", ("parish", "direction", "count"), parish_counts),
     ):
-        with open(out / name, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows((*key, count) for key, count in sorted(counts.items()))
+        write_csv(out / name, header, ((*key, count) for key, count in sorted(counts.items())))
 
     summary = {
         "records": len(records),
@@ -789,12 +728,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     config = _read_config_file(args.config) if args.config else {}
 
+    endpoint = _setting(args, config, "corrector_endpoint", None, str)
+    corrector = HttpCorrectorClient(endpoint) if endpoint else None
+
     try:
         if args.command == "extract":
-            corrector = None
-            endpoint = _setting(args, config, "corrector_endpoint", None, str)
-            if endpoint:
-                corrector = HttpCorrectorClient(endpoint)
             options = PipelineOptions(
                 grid=_grid_config(args, config),
                 chrono=_chrono_config(args, config),
@@ -848,10 +786,6 @@ def main(argv: list[str] | None = None) -> int:
                 records_format=args.format,
             )
         if args.command == "years":
-            corrector = None
-            endpoint = _setting(args, config, "corrector_endpoint", None, str)
-            if endpoint:
-                corrector = HttpCorrectorClient(endpoint)
             return cmd_years(
                 args.in_dir, args.out_path, _chrono_config(args, config), corrector=corrector
             )

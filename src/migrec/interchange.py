@@ -574,29 +574,38 @@ def _field_labels(records: Iterable[MigrationRecord]) -> list[str]:
     return labels
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as UTF-8 CSV: RFC 4180 quoting, LF line ends, None empty."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_records(records: Sequence[MigrationRecord], path: str, format: str = "csv") -> None:
     """Write records as CSV (RFC 4180 quoting) or JSON lines."""
     for i, record in enumerate(records):
         validate_record(record, f"records[{i}]")
     if format == "csv":
         labels = _field_labels(records)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-            writer.writerow(list(_RECORD_COLUMNS) + [_FIELD_PREFIX + l for l in labels])
-            for record in records:
-                writer.writerow(
-                    [
-                        record.book_id,
-                        record.opening_id,
-                        record.page_side,
-                        "" if record.year is None else record.year,
-                        record.direction,
-                        record.parish_raw or "",
-                        record.parish_canonical or "",
-                        ";".join(sorted(record.flags)),
-                    ]
-                    + [record.fields.get(label, "") for label in labels]
-                )
+        write_csv(
+            path,
+            list(_RECORD_COLUMNS) + [_FIELD_PREFIX + l for l in labels],
+            (
+                [
+                    record.book_id,
+                    record.opening_id,
+                    record.page_side,
+                    record.year,
+                    record.direction,
+                    record.parish_raw,
+                    record.parish_canonical,
+                    ";".join(sorted(record.flags)),
+                ]
+                + [record.fields.get(label, "") for label in labels]
+                for record in records
+            ),
+        )
     elif format == "jsonl":
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             for record in records:

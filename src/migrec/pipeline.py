@@ -6,6 +6,19 @@ opening goes through coordinate de-skew, grid completion (with one
 relaxed-eps retry), an optional split-table merge pass, cell routing and
 repetition fill, then record assembly; years are resolved once per book and
 parish names matched against the gazetteer at the end.
+
+The steps the commands share live here, once each:
+
+- :func:`deskew_document` solves an opening's page transforms and de-skews
+  its tables (``extract`` through :func:`process_opening`, and ``eval``);
+- :func:`collect_years` turns its year detections into page observations
+  (``extract``, ``eval`` and ``years``);
+- :func:`resolve_years` runs the external corrector or the rule-based DP
+  over a book's pages (``extract`` through :func:`process_book`, and
+  ``years``);
+- :func:`match_parishes` matches raw parish names against a gazetteer with
+  a per-call memo (``extract`` through :func:`process_book`, and
+  ``normalize``).
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from typing import Sequence
 
 from .cells import ColumnSchema, assemble_records
 from .chrono import (
+    BookYearSequence,
     ChronoConfig,
     CorrectorClient,
     PageObservations,
@@ -25,16 +39,14 @@ from .chrono import (
     infer_sequence,
     normalize_year_token,
 )
-from .geometry import apply_point, deskew_transforms, transform_box
+from .geometry import Homography, apply_point, deskew_transforms, transform_box
 from .gridrec import GridConfig, GridTable, complete_grid_with_retry, merge_split_tables
-from .interchange import (
-    DetectionDocument,
-    MigrationRecord,
-    read_document,
-)
+from .interchange import DetectionDocument, MigrationRecord, TableDetection, read_document
 from .normalize import Gazetteer, MatchResult, match_parish
 
 log = logging.getLogger(__name__)
+
+DIRECTION_MODES = ("in", "out", "mixed")
 
 
 @dataclass(frozen=True)
@@ -49,38 +61,27 @@ class PipelineOptions:
 
     def direction_mode(self, book_id: str) -> str:
         mode = self.book_directions.get(book_id, "mixed")
-        if mode not in ("in", "out", "mixed"):
+        if mode not in DIRECTION_MODES:
             raise ValueError(f"unknown direction mode {mode!r} for book {book_id}")
         return mode
 
 
-@dataclass
-class OpeningResult:
-    opening_id: str
-    grids: list[tuple[str, bool, GridTable]]  # (side, merged, grid)
-    pages: dict[str, PageObservations]
-    layout_type: str
-    stats: Counter
+def deskew_document(
+    doc: DetectionDocument,
+) -> tuple[list[tuple[str, TableDetection]], tuple[Homography | None, Homography | None]]:
+    """Solve an opening's page transforms once and de-skew every table.
 
-
-def process_opening(doc: DetectionDocument, options: PipelineOptions) -> OpeningResult:
-    """De-skew one opening's coordinates and reconstruct its table grids."""
-    stats: Counter = Counter()
+    Returns ``(tables, (h_left, h_right))``.  Each table comes as
+    ``(side, table)``: the side is taken from the raw table centre, and the
+    table's box, cell boxes and line boxes are in de-skewed coordinates.
+    Without keypoints the tables come back unchanged and both transforms
+    are None.
+    """
     h_left = h_right = None
-    center_x = doc.image_width / 2.0
     if doc.keypoints is not None:
-        h_left, h_right = deskew_transforms(
-            doc.keypoints, doc.image_width, doc.image_height
-        )
-        center_x = apply_point(h_left, doc.keypoints.b).x
-
-    grids: list[tuple[str, bool, GridTable]] = []
-    plain: list[GridTable] = []
-    sides: dict[int, str] = {}
+        h_left, h_right = deskew_transforms(doc.keypoints, doc.image_width, doc.image_height)
+    tables = []
     for table in doc.tables:
-        if not table.cells:
-            stats["tables_without_cells"] += 1
-            continue
         center = table.box.center
         side = doc.page_side(center.x, center.y)
         h = h_left if side == "left" else h_right
@@ -95,10 +96,97 @@ def process_opening(doc: DetectionDocument, options: PipelineOptions) -> Opening
                 )
                 for cell in table.cells
             )
-            box = transform_box(h, table.box)
-        else:
-            cells, box = table.cells, table.box
-        grid = complete_grid_with_retry(box, cells, options.grid)
+            table = TableDetection(transform_box(h, table.box), cells)
+        tables.append((side, table))
+    return tables, (h_left, h_right)
+
+
+def collect_years(doc: DetectionDocument, chrono: ChronoConfig) -> dict[str, PageObservations]:
+    """An opening's year detections as normalized observations, by page side."""
+    found: dict[str, list[YearObservation]] = {"left": [], "right": []}
+    for det in doc.year_detections:
+        center = det.box.center
+        side = doc.page_side(center.x, center.y)
+        found[side].append(
+            YearObservation(
+                opening_id=doc.opening_id,
+                side=side,
+                raw=det.text.text,
+                normalized=normalize_year_token(det.text.text, chrono),
+                box=det.box,
+            )
+        )
+    return {
+        side: PageObservations(opening_id=doc.opening_id, side=side, observations=tuple(obs))
+        for side, obs in found.items()
+    }
+
+
+def resolve_years(pages: Sequence[PageObservations], options: PipelineOptions) -> BookYearSequence:
+    """A book's page years, pages in the order given.
+
+    The external corrector answers when one is set (it falls back to the
+    rule-based DP itself); otherwise the DP runs alone.
+    """
+    if options.corrector is not None:
+        return external_correct(pages, options.corrector, options.chrono)
+    return infer_sequence(pages, options.chrono)
+
+
+def match_parishes(
+    records: Sequence[MigrationRecord], gazetteer: Gazetteer, max_rel_dist: float
+) -> tuple[list[MigrationRecord], Counter]:
+    """Match every raw parish name that has no canonical name yet.
+
+    Returns the records, matched or flagged ``unmatched_parish``, and a
+    tally of match methods.  A book repeats few distinct parish strings,
+    so each distinct string is matched once; the memo lives for this call
+    only, so every call does the work a fresh run does.
+    """
+    memo: dict[str, MatchResult] = {}
+    methods: Counter = Counter()
+    matched = []
+    for record in records:
+        if record.parish_raw and record.parish_canonical is None:
+            result = memo.get(record.parish_raw)
+            if result is None:
+                result = memo[record.parish_raw] = match_parish(
+                    record.parish_raw, gazetteer, max_rel_dist
+                )
+            methods[result.method] += 1
+            if result.canonical is not None:
+                record = replace(record, parish_canonical=result.canonical)
+            else:
+                record = record.with_flags("unmatched_parish")
+        matched.append(record)
+    return matched, methods
+
+
+@dataclass
+class OpeningResult:
+    opening_id: str
+    grids: list[tuple[str, bool, GridTable]]  # (side, merged, grid)
+    pages: dict[str, PageObservations]
+    layout_type: str
+    stats: Counter
+
+
+def process_opening(doc: DetectionDocument, options: PipelineOptions) -> OpeningResult:
+    """De-skew one opening's coordinates and reconstruct its table grids."""
+    stats: Counter = Counter()
+    tables, (h_left, _) = deskew_document(doc)
+    center_x = doc.image_width / 2.0
+    if h_left is not None:
+        center_x = apply_point(h_left, doc.keypoints.b).x
+
+    grids: list[tuple[str, bool, GridTable]] = []
+    plain: list[GridTable] = []
+    sides: dict[int, str] = {}
+    for side, table in tables:
+        if not table.cells:
+            stats["tables_without_cells"] += 1
+            continue
+        grid = complete_grid_with_retry(table.box, table.cells, options.grid)
         sides[id(grid)] = side
         plain.append(grid)
         stats["tables"] += 1
@@ -120,25 +208,10 @@ def process_opening(doc: DetectionDocument, options: PipelineOptions) -> Opening
         stats["cells_residual"] += len(grid.residual)
         grids.append((side, merged, grid))
 
-    pages = {
-        side: PageObservations(opening_id=doc.opening_id, side=side) for side in ("left", "right")
-    }
-    for det in doc.year_detections:
-        center = det.box.center
-        side = doc.page_side(center.x, center.y)
-        obs = YearObservation(
-            opening_id=doc.opening_id,
-            side=side,
-            raw=det.text.text,
-            normalized=normalize_year_token(det.text.text, options.chrono),
-            box=det.box,
-        )
-        pages[side] = replace(pages[side], observations=pages[side].observations + (obs,))
-
     return OpeningResult(
         opening_id=doc.opening_id,
         grids=grids,
-        pages=pages,
+        pages=collect_years(doc, options.chrono),
         layout_type=doc.layout_type,
         stats=stats,
     )
@@ -182,14 +255,9 @@ def process_book(
     for opening in openings:
         summary.update(opening.stats)
 
-    page_list: list[PageObservations] = []
-    for opening in openings:
-        for side in ("left", "right"):
-            page_list.append(opening.pages[side])
-    if options.corrector is not None:
-        sequence = external_correct(page_list, options.corrector, options.chrono)
-    else:
-        sequence = infer_sequence(page_list, options.chrono)
+    sequence = resolve_years(
+        [opening.pages[side] for opening in openings for side in ("left", "right")], options
+    )
     resolved = {(p.opening_id, p.side): p for p in sequence.pages}
     for page in sequence.pages:
         summary[f"year_{page.source}"] += 1
@@ -224,24 +292,8 @@ def process_book(
             summary["rows_with_inferred_cells"] += 1
 
     if options.gazetteer is not None:
-        # A book repeats few distinct parish strings.  The memo lives for
-        # this call only, so every call does the work a fresh run does.
-        memo: dict[str, MatchResult] = {}
-        matched = []
-        for record in records:
-            if record.parish_raw:
-                result = memo.get(record.parish_raw)
-                if result is None:
-                    result = memo[record.parish_raw] = match_parish(
-                        record.parish_raw, options.gazetteer, options.max_rel_dist
-                    )
-                summary[f"parish_{result.method}"] += 1
-                if result.canonical is not None:
-                    record = replace(record, parish_canonical=result.canonical)
-                else:
-                    record = record.with_flags("unmatched_parish")
-            matched.append(record)
-        records = matched
+        records, methods = match_parishes(records, options.gazetteer, options.max_rel_dist)
+        summary.update({f"parish_{method}": n for method, n in methods.items()})
 
     return BookResult(book_id=book_id, records=records, summary=summary, failures=failures)
 

@@ -32,6 +32,7 @@ from .interchange import (
     TableDetection,
     TextHypothesis,
     YearDetection,
+    write_csv,
     write_document,
     write_records,
 )
@@ -858,20 +859,19 @@ def write_corpus(
         d.mkdir(parents=True, exist_ok=True)
 
     all_records = []
-    years_lines = ["opening_id,side,year"]
+    page_years = []
     for book in books:
         for fixture in book.openings:
             name = f"{fixture.document.opening_id}.jsonl"
             write_document(fixture.document, str(observed_dir / name))
             write_document(fixture.gold_document, str(gold_dir / name))
             all_records.extend(fixture.gold_records)
-        for opening_id, side, year in book.page_years:
-            years_lines.append(f"{opening_id},{side},{year}")
+        page_years.extend(book.page_years)
 
     records_path = out / f"gold_records.{records_format}"
     write_records(all_records, str(records_path), format=records_format)
     years_path = out / "gold_years.csv"
-    years_path.write_text("\n".join(years_lines) + "\n", encoding="utf-8")
+    write_csv(years_path, ("opening_id", "side", "year"), page_years)
 
     schema_path = schema_dir / "preprinted.tsv"
     write_schema_file(DEFAULT_SCHEMA, str(schema_path))

@@ -1,5 +1,6 @@
 import csv
 import json
+from argparse import Namespace
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,8 @@ from migrec.cli import (
     EXIT_FATAL,
     EXIT_OK,
     EXIT_PARTIAL,
+    _load_book_directions,
+    _setting,
     cmd_aggregate,
     cmd_eval,
     cmd_extract,
@@ -21,9 +24,15 @@ from migrec.cli import (
     cmd_years,
     main,
 )
-from migrec.interchange import MigrationRecord, read_records, write_records
+from migrec.geometry import transform_box
+from migrec.interchange import MigrationRecord, read_document, read_records, write_records
 from migrec.normalize import Gazetteer, match_parish
-from migrec.pipeline import PipelineOptions, group_documents_by_book, process_book
+from migrec.pipeline import (
+    PipelineOptions,
+    deskew_document,
+    group_documents_by_book,
+    process_book,
+)
 from migrec.synth import DEFAULT_SCHEMA, SynthConfig, generate_book, sample_gazetteer, write_corpus
 
 
@@ -113,6 +122,22 @@ def test_parish_memo_gives_the_unmemoized_records(tmp_path, monkeypatch):
     monkeypatch.setattr("migrec.pipeline.match_parish", counted)
     assert process_book(book_id, files, options).records == expected
     assert sorted(calls) == sorted(raws)  # one match per distinct string
+
+    # normalize shares the memoized loop
+    calls.clear()
+    write_records(bare.records, str(tmp_path / "bare.jsonl"), format="jsonl")
+    code = cmd_normalize(
+        str(tmp_path / "bare.jsonl"),
+        str(tmp_path / "normalized.jsonl"),
+        paths["gazetteer"],
+        max_rel_dist=options.max_rel_dist,
+    )
+    assert code == EXIT_OK
+    normalized = read_records(str(tmp_path / "normalized.jsonl"), format="jsonl")
+    assert [(r.parish_canonical, r.flags) for r in normalized] == [
+        (r.parish_canonical, r.flags) for r in expected
+    ]
+    assert sorted(calls) == sorted(raws)
     monkeypatch.undo()
 
     write_records(expected, str(tmp_path / "expected.jsonl"), format="jsonl")
@@ -191,19 +216,75 @@ def test_eval_observed_against_gold_reports_skew(tmp_path):
     assert max(deskewed.values()) < 1e-6
 
 
+def read_csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 def test_years_csv(corpus, tmp_path):
+    # a book id with a comma must stay one quoted field
+    comma_book = generate_book(SynthConfig(seed=5), 3, book_id="Elimäki, book 3")
+    comma_paths = write_corpus([comma_book], tmp_path / "comma")
+    for paths, books in ((corpus["paths"], corpus["books"]), (comma_paths, [comma_book])):
+        out_path = tmp_path / "years.csv"
+        assert cmd_years(paths["observed"], str(out_path), ChronoConfig()) == EXIT_OK
+        rows = read_csv_rows(out_path)
+        assert len(rows) == 2 * sum(len(book.openings) for book in books)
+        truth = {
+            (opening, side): year for book in books for opening, side, year in book.page_years
+        }
+        book_ids = {book.book_id for book in books}
+        for row in rows:
+            assert row["book_id"] in book_ids
+            assert int(row["year"]) == truth[(row["opening_id"], row["side"])]
+            assert row["source"] == "observed"
+        gold = read_csv_rows(paths["years"])
+        assert {(r["opening_id"], r["side"]): int(r["year"]) for r in gold} == truth
+
+
+def test_years_builds_no_grids(corpus, tmp_path, monkeypatch):
+    expected = tmp_path / "expected.csv"
+    assert cmd_years(corpus["paths"]["observed"], str(expected), ChronoConfig()) == EXIT_OK
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("years reconstructed a grid")
+
+    monkeypatch.setattr("migrec.pipeline.complete_grid_with_retry", no_grid)
+    monkeypatch.setattr("migrec.cli.complete_grid_with_retry", no_grid)
     out_path = tmp_path / "years.csv"
     assert cmd_years(corpus["paths"]["observed"], str(out_path), ChronoConfig()) == EXIT_OK
-    rows = list(csv.DictReader(out_path.open()))
-    assert len(rows) == 30  # 15 openings x 2 sides
-    truth = {
-        (opening, side): year
-        for book in corpus["books"]
-        for opening, side, year in book.page_years
-    }
-    for row in rows:
-        assert int(row["year"]) == truth[(row["opening_id"], row["side"])]
-        assert row["source"] == "observed"
+    assert out_path.read_bytes() == expected.read_bytes()
+
+
+def test_deskew_document_without_keypoints_keeps_tables(corpus):
+    path = sorted(Path(corpus["paths"]["observed"]).glob("*.jsonl"))[0]
+    doc = replace(read_document(str(path)), keypoints=None)
+    tables, transforms = deskew_document(doc)
+    assert transforms == (None, None)
+    assert [table for _, table in tables] == list(doc.tables)
+    assert [side for side, _ in tables] == [
+        doc.page_side(t.box.center.x, t.box.center.y) for t in doc.tables
+    ]
+
+
+def test_deskew_document_moves_every_box_by_its_side(tmp_path):
+    book = generate_book(SynthConfig(seed=21, skew_degrees=(1.0, 3.0)), 1)
+    paths = write_corpus([book], tmp_path / "skewed")
+    path = sorted(Path(paths["observed"]).glob("*.jsonl"))[0]
+    doc = read_document(str(path))
+    tables, (h_left, h_right) = deskew_document(doc)
+    assert h_left is not None and h_right is not None
+    assert len(tables) == len(doc.tables)
+    for (side, table), raw in zip(tables, doc.tables):
+        assert side == doc.page_side(raw.box.center.x, raw.box.center.y)
+        h = h_left if side == "left" else h_right
+        assert table.box == transform_box(h, raw.box)
+        for cell, raw_cell in zip(table.cells, raw.cells, strict=True):
+            assert cell.box == transform_box(h, raw_cell.box)
+            assert [line.box for line in cell.lines] == [
+                transform_box(h, line.box) for line in raw_cell.lines
+            ]
+            assert (cell.class_probs, cell.text) == (raw_cell.class_probs, raw_cell.text)
 
 
 def test_normalize_detects_planted_duplicate(tmp_path):
@@ -361,6 +442,46 @@ def test_main_config_file_defaults(tmp_path):
     code = main(["--config", str(config), "extract", str(synth_dir / "observed"), str(records)])
     assert code == EXIT_OK
     assert records.exists()
+
+
+def test_config_booleans_are_strict(tmp_path, caplog):
+    for raw, value in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                       ("0", False), ("false", False), ("NO", False), ("Off", False)):
+        config = {"merge_split_tables": raw}
+        assert _setting(Namespace(), config, "merge_split_tables", True, bool) is value
+    with pytest.raises(ValueError, match="merge_split_tables.*'ture'"):
+        _setting(Namespace(), {"merge_split_tables": "ture"}, "merge_split_tables", True, bool)
+
+    synth_dir = tmp_path / "c"
+    main(["synth", str(synth_dir), "--seed", "4", "--books", "1", "--count", "2"])
+    config = tmp_path / "run.cfg"
+    config.write_text("workers = 1\nmerge_split_tables = ture\n", encoding="utf-8")
+    records = tmp_path / "records.csv"
+    code = main(["--config", str(config), "extract", str(synth_dir / "observed"), str(records)])
+    assert code == EXIT_FATAL
+    assert "merge_split_tables" in caplog.text and "'ture'" in caplog.text
+    assert not records.exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["book0004\tinward\n", "book0004 in\n"], ids=["unknown-mode", "no-tab"]
+)
+def test_bad_book_directions_file_fails_before_any_book(tmp_path, caplog, line):
+    synth_dir = tmp_path / "c"
+    main(["synth", str(synth_dir), "--seed", "4", "--books", "1", "--count", "2"])
+    directions = tmp_path / "directions.tsv"
+    directions.write_text("# book\tmode\nbook0003\tin\n" + line, encoding="utf-8")
+    records = tmp_path / "records.csv"
+    code = main(
+        ["extract", str(synth_dir / "observed"), str(records), "--workers", "1",
+         "--book-directions", str(directions)]
+    )
+    assert code == EXIT_FATAL
+    assert f"{directions}:3:" in caplog.text
+    assert "in, out, mixed" in caplog.text
+    assert not records.exists()  # no book was processed
+    with pytest.raises(ValueError, match=r"directions\.tsv:3: "):
+        _load_book_directions(str(directions))
 
 
 def test_extract_without_keypoints(corpus, tmp_path):

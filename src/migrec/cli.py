@@ -285,8 +285,14 @@ def cmd_eval(
             det_counts[key] = det_counts.get(key, ev.EvalCounts()) + counts
 
     for name in shared:
-        gold_doc = read_document(gold_files[name])
-        pred_doc = read_document(pred_files[name])
+        try:
+            path = gold_files[name]
+            gold_doc = read_document(path)
+            path = pred_files[name]
+            pred_doc = read_document(path)
+        except (OSError, ValueError) as exc:
+            log.error("fatal: %s: %s", path, exc)
+            return EXIT_FATAL
         layout = gold_doc.layout_type
 
         gold_tables, _ = deskew_document(gold_doc)
@@ -453,22 +459,33 @@ def cmd_years(
     chrono_cfg: ChronoConfig,
     corrector=None,
 ) -> int:
-    """Resolve page-side years for every book under ``in_dir``."""
+    """Resolve page-side years for every book under ``in_dir``.
+
+    A document that cannot be read is skipped with a warning naming its
+    file; the other documents' years are written and the run is partial.
+    """
     paths = _document_paths(in_dir)
     if not paths:
         log.error("no document files under %s", in_dir)
         return EXIT_FATAL
     options = PipelineOptions(chrono=chrono_cfg, corrector=corrector)
     rows = []
+    skipped = 0
     for book_id, files in group_documents_by_book(paths).items():
         pages = []
         for path in files:
-            pages.extend(collect_years(read_document(path), chrono_cfg).values())
+            try:
+                doc = read_document(path)
+            except (OSError, ValueError) as exc:
+                log.warning("skipping %s: %s", path, exc)
+                skipped += 1
+                continue
+            pages.extend(collect_years(doc, chrono_cfg).values())
         pages.sort(key=lambda p: (p.opening_id, p.side))
         for page in resolve_years(pages, options).pages:
             rows.append((book_id, page.opening_id, page.side, page.year, page.source))
     write_csv(out_path, ("book_id", "opening_id", "side", "year", "source"), rows)
-    return EXIT_OK
+    return EXIT_PARTIAL if skipped else EXIT_OK
 
 
 def _records_format(path: str) -> str:

@@ -131,14 +131,18 @@ def split_metrics(pairs: Sequence[tuple[str, str]]) -> list[TextMetrics]:
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
+    """Intersection over union of two boxes; 0 when disjoint.
+
+    The areas are the same products :attr:`Box.area` gives, computed inline.
+    """
     w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     if w <= 0.0 or h <= 0.0:
         return 0.0
     inter = w * h
-    union = a.area + b.area - inter
-    return inter / union
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    return inter / (area_a + area_b - inter)
 
 
 @dataclass(frozen=True)

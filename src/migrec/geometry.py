@@ -169,28 +169,40 @@ def estimate_homography(src: Sequence[Point], dst: Sequence[Point]) -> Homograph
     )
 
 
+def _project(m: tuple[tuple[float, float, float], ...], x: float, y: float) -> tuple[float, float]:
+    """The one projection formula: ``(x, y)`` under matrix ``m``, divided by w."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    w = m20 * x + m21 * y + m22
+    if abs(w) < 1e-12:
+        raise PointAtInfinityError(f"point ({x}, {y}) maps to infinity")
+    return (m00 * x + m01 * y + m02) / w, (m10 * x + m11 * y + m12) / w
+
+
 def apply_point(h: Homography, p: Point) -> Point:
     """Apply a homography to a point (projective division included)."""
-    m = h.m
-    w = m[2][0] * p.x + m[2][1] * p.y + m[2][2]
-    if abs(w) < 1e-12:
-        raise PointAtInfinityError(f"point ({p.x}, {p.y}) maps to infinity")
-    x = (m[0][0] * p.x + m[0][1] * p.y + m[0][2]) / w
-    y = (m[1][0] * p.x + m[1][1] * p.y + m[1][2]) / w
-    return Point(x, y)
+    return Point(*_project(h.m, p.x, p.y))
 
 
 def transform_box(h: Homography, box: Box) -> Box:
-    """Axis-aligned hull of a box's four corners under a homography."""
-    corners = [
-        apply_point(h, Point(box.x_min, box.y_min)),
-        apply_point(h, Point(box.x_max, box.y_min)),
-        apply_point(h, Point(box.x_max, box.y_max)),
-        apply_point(h, Point(box.x_min, box.y_max)),
-    ]
-    xs = [c.x for c in corners]
-    ys = [c.y for c in corners]
-    return Box(min(xs), min(ys), max(xs), max(ys), box.confidence)
+    """Axis-aligned hull of a box's four corners under a homography.
+
+    There is one projection formula, ``_project``, shared with
+    :func:`apply_point`; here it maps the corners as plain tuples in the
+    order (min, min), (max, min), (max, max), (min, max), and the first
+    corner that maps to infinity raises :class:`PointAtInfinityError`.
+    """
+    m = h.m
+    x0, y0 = _project(m, box.x_min, box.y_min)
+    x1, y1 = _project(m, box.x_max, box.y_min)
+    x2, y2 = _project(m, box.x_max, box.y_max)
+    x3, y3 = _project(m, box.x_min, box.y_max)
+    return Box(
+        min(x0, x1, x2, x3),
+        min(y0, y1, y2, y3),
+        max(x0, x1, x2, x3),
+        max(y0, y1, y2, y3),
+        box.confidence,
+    )
 
 
 def _dist(p: Point, q: Point) -> float:

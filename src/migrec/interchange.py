@@ -212,19 +212,44 @@ def dominant_class(class_probs: Sequence[float]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(value: float, path: str) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ValidationError("value must be a finite number", path)
+_NOT_FINITE = "value must be a finite number"
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is an int or float, not a bool, with a finite float value.
+
+    An int too large for a float is not finite.  A plain float, nearly
+    every value read, skips the type tests.
+    """
+    if type(value) is not float and (type(value) is bool or not isinstance(value, (int, float))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _require_finite(obj, names: Sequence[str], path: str) -> None:
+    """Raise at ``path.name`` for the first named field that is not finite."""
+    for name in names:
+        if not _is_finite(getattr(obj, name)):
+            raise ValidationError(_NOT_FINITE, f"{path}.{name}")
 
 
 def validate_point(p: Point, path: str) -> None:
-    _check_finite(p.x, f"{path}.x")
-    _check_finite(p.y, f"{path}.y")
+    _require_finite(p, ("x", "y"), path)
+
+
+_BOX_FIELDS = ("x_min", "y_min", "x_max", "y_max", "confidence")
 
 
 def validate_box(b: Box, path: str) -> None:
-    for name in ("x_min", "y_min", "x_max", "y_max", "confidence"):
-        _check_finite(getattr(b, name), f"{path}.{name}")
+    """Check that a box is finite, non-empty and has a confidence in [0, 1].
+
+    Each check is a plain predicate; the field path of an error is built
+    only when the check fails, so a valid box costs no string formatting.
+    """
+    _require_finite(b, _BOX_FIELDS, path)
     if not b.x_min < b.x_max:
         raise ValidationError("x_min must be < x_max", path)
     if not b.y_min < b.y_max:
@@ -258,10 +283,11 @@ def normalize_class_probs(
         raise ValidationError("expected exactly 4 class probabilities", path)
     values = []
     for i, p in enumerate(probs):
-        _check_finite(p, f"{path}[{i}]")
+        if not _is_finite(p):
+            raise ValidationError(_NOT_FINITE, f"{path}[{i}]")
         if not -PROB_SUM_TOLERANCE <= p <= 1.0 + PROB_SUM_TOLERANCE:
             raise ValidationError("probability outside [0, 1]", f"{path}[{i}]")
-        values.append(min(max(float(p), 0.0), 1.0))
+        values.append(0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p))
     total = sum(values)
     if abs(total - 1.0) <= PROB_SUM_TOLERANCE:
         return tuple(values)  # type: ignore[return-value]
@@ -294,7 +320,7 @@ def _validate_cell(cell: CellHypothesis, path: str, probs_checked: bool) -> None
 def validate_text(t: TextHypothesis, path: str) -> None:
     if not isinstance(t.text, str):
         raise ValidationError("text must be a string", f"{path}.text")
-    _check_finite(t.confidence, f"{path}.confidence")
+    _require_finite(t, ("confidence",), path)
     if not 0.0 <= t.confidence <= 1.0:
         raise ValidationError("confidence must lie in [0, 1]", f"{path}.confidence")
 
@@ -304,13 +330,15 @@ def validate_document(doc: DetectionDocument) -> None:
 
 
 def _validate_document(doc: DetectionDocument, probs_checked: bool) -> None:
-    if not doc.opening_id:
-        raise ValidationError("opening_id must be non-empty", "opening_id")
-    if not doc.book_id:
-        raise ValidationError("book_id must be non-empty", "book_id")
+    for name in ("opening_id", "book_id"):
+        value = getattr(doc, name)
+        if not value:
+            raise ValidationError(f"{name} must be non-empty", name)
+        if not isinstance(value, str):
+            raise ValidationError(f"{name} must be a string", name)
     for name in ("image_width", "image_height"):
         value = getattr(doc, name)
-        if not isinstance(value, int) or value <= 0:
+        if type(value) is bool or not isinstance(value, int) or value <= 0:
             raise ValidationError("must be a positive integer", name)
     if doc.layout_type not in LAYOUT_TYPES:
         raise ValidationError(
@@ -423,15 +451,18 @@ def _parse_point(obj, path: str) -> Point:
     return Point(obj["x"], obj["y"])
 
 
+_BOX_KEYS = frozenset(_BOX_FIELDS)
+_TEXT_KEYS = frozenset(("text", "confidence"))
+
+
 def _parse_box(obj, path: str) -> Box:
-    expected = {"x_min", "y_min", "x_max", "y_max", "confidence"}
-    if not isinstance(obj, dict) or set(obj) != expected:
-        raise ParseError(f"expected an object with fields {sorted(expected)}", path)
+    if not isinstance(obj, dict) or obj.keys() != _BOX_KEYS:
+        raise ParseError(f"expected an object with fields {sorted(_BOX_KEYS)}", path)
     return Box(obj["x_min"], obj["y_min"], obj["x_max"], obj["y_max"], obj["confidence"])
 
 
 def _parse_text(obj, path: str) -> TextHypothesis:
-    if not isinstance(obj, dict) or set(obj) != {"text", "confidence"}:
+    if not isinstance(obj, dict) or obj.keys() != _TEXT_KEYS:
         raise ParseError("expected an object with fields text, confidence", path)
     return TextHypothesis(obj["text"], obj["confidence"])
 
@@ -458,8 +489,8 @@ def read_document(path: str) -> DetectionDocument:
         where = f"line {lineno}"
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", where) from exc
+        except ValueError as exc:  # also an int literal beyond the digit limit
+            raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", where) from exc
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ParseError("expected an object with a 'kind' field", where)
         kind = obj["kind"]
@@ -494,8 +525,12 @@ def read_document(path: str) -> DetectionDocument:
             probs = obj.get("class_probs")
             if not isinstance(probs, list):
                 raise ParseError("class_probs must be a list", f"{where}: class_probs")
+            line_objs = obj.get("lines") or []
+            if isinstance(line_objs, (int, float)):
+                # a string or an object iterates to entries that fail below
+                raise ParseError("lines must be a list", f"{where}: lines")
             lines = []
-            for i, line_obj in enumerate(obj.get("lines") or []):
+            for i, line_obj in enumerate(line_objs):
                 lpath = f"{where}: lines[{i}]"
                 if not isinstance(line_obj, dict):
                     raise ParseError("line entries must be objects", lpath)

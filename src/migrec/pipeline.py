@@ -41,7 +41,14 @@ from .chrono import (
 )
 from .geometry import Homography, apply_point, deskew_transforms, transform_box
 from .gridrec import GridConfig, GridTable, complete_grid_with_retry, merge_split_tables
-from .interchange import DetectionDocument, MigrationRecord, TableDetection, read_document
+from .interchange import (
+    CellHypothesis,
+    CellLine,
+    DetectionDocument,
+    MigrationRecord,
+    TableDetection,
+    read_document,
+)
 from .normalize import Gazetteer, MatchResult, match_parish
 
 log = logging.getLogger(__name__)
@@ -87,12 +94,11 @@ def deskew_document(
         h = h_left if side == "left" else h_right
         if h is not None:
             cells = tuple(
-                replace(
-                    cell,
-                    box=transform_box(h, cell.box),
-                    lines=tuple(
-                        replace(line, box=transform_box(h, line.box)) for line in cell.lines
-                    ),
+                CellHypothesis(
+                    transform_box(h, cell.box),
+                    cell.class_probs,
+                    cell.text,
+                    tuple(CellLine(transform_box(h, line.box), line.text) for line in cell.lines),
                 )
                 for cell in table.cells
             )
@@ -299,7 +305,11 @@ def process_book(
 
 
 def group_documents_by_book(paths: Sequence[str]) -> dict[str, list[str]]:
-    """Group document file paths by their book id (header line peek)."""
+    """Group document file paths by their book id (header line peek).
+
+    A file whose header cannot be read or has no string book id goes under
+    ``<unreadable>``; reading the document later reports what is wrong.
+    """
     import json
 
     groups: dict[str, list[str]] = {}
@@ -309,8 +319,8 @@ def group_documents_by_book(paths: Sequence[str]) -> dict[str, list[str]]:
             with open(path, "r", encoding="utf-8") as handle:
                 first = handle.readline()
             obj = json.loads(first)
-            if isinstance(obj, dict):
-                book_id = obj.get("book_id")
+            if isinstance(obj, dict) and isinstance(obj.get("book_id"), str):
+                book_id = obj["book_id"]
         except (OSError, ValueError):
             book_id = None
         groups.setdefault(book_id or "<unreadable>", []).append(str(path))

@@ -3,11 +3,25 @@
 These deliberately avoid the library's code paths: quadratic neighbor
 search for DBSCAN, a full-matrix edit distance, all-pairs and exhaustive
 box matching and exhaustive year-sequence search.  Keep them dumb.
+
+The per-box references at the end keep the library's earlier, slower
+validation, projection and IoU code verbatim: the rewritten functions must
+give the same results and raise the same errors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+
+from migrec.geometry import PointAtInfinityError
+from migrec.interchange import (
+    PROB_RENORM_LIMIT,
+    PROB_SUM_TOLERANCE,
+    Box,
+    Point,
+    ValidationError,
+)
 
 
 def dbscan_reference(values, eps, min_pts):
@@ -255,3 +269,83 @@ def match_parish_reference(raw, gazetteer, max_rel_dist):
     if rel <= max_rel_dist:
         return (candidates[0], 1.0 - rel, "fuzzy", ())
     return unmatched
+
+
+# --- per-box references: validation, projection, IoU -------------------------
+
+
+def _check_finite_reference(value, path):
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValidationError("value must be a finite number", path)
+
+
+def validate_box_reference(b, path):
+    """Every field checked with a path built up front (raises OverflowError
+    for an int too large for a float, which the library now rejects)."""
+    for name in ("x_min", "y_min", "x_max", "y_max", "confidence"):
+        _check_finite_reference(getattr(b, name), f"{path}.{name}")
+    if not b.x_min < b.x_max:
+        raise ValidationError("x_min must be < x_max", path)
+    if not b.y_min < b.y_max:
+        raise ValidationError("y_min must be < y_max", path)
+    if not 0.0 <= b.confidence <= 1.0:
+        raise ValidationError("confidence must lie in [0, 1]", path)
+
+
+def normalize_class_probs_reference(probs, path="class_probs"):
+    if len(probs) != 4:
+        raise ValidationError("expected exactly 4 class probabilities", path)
+    values = []
+    for i, p in enumerate(probs):
+        _check_finite_reference(p, f"{path}[{i}]")
+        if not -PROB_SUM_TOLERANCE <= p <= 1.0 + PROB_SUM_TOLERANCE:
+            raise ValidationError("probability outside [0, 1]", f"{path}[{i}]")
+        values.append(min(max(float(p), 0.0), 1.0))
+    total = sum(values)
+    if abs(total - 1.0) <= PROB_SUM_TOLERANCE:
+        return tuple(values)
+    if abs(total - 1.0) <= PROB_RENORM_LIMIT:
+        return tuple(v / total for v in values)
+    raise ValidationError(f"class probabilities sum to {total:.6f}, not 1", path)
+
+
+def validate_text_reference(t, path):
+    if not isinstance(t.text, str):
+        raise ValidationError("text must be a string", f"{path}.text")
+    _check_finite_reference(t.confidence, f"{path}.confidence")
+    if not 0.0 <= t.confidence <= 1.0:
+        raise ValidationError("confidence must lie in [0, 1]", f"{path}.confidence")
+
+
+def apply_point_reference(h, p):
+    m = h.m
+    w = m[2][0] * p.x + m[2][1] * p.y + m[2][2]
+    if abs(w) < 1e-12:
+        raise PointAtInfinityError(f"point ({p.x}, {p.y}) maps to infinity")
+    x = (m[0][0] * p.x + m[0][1] * p.y + m[0][2]) / w
+    y = (m[1][0] * p.x + m[1][1] * p.y + m[1][2]) / w
+    return Point(x, y)
+
+
+def transform_box_reference(h, box):
+    """Hull of the four corners, each projected as a Point."""
+    corners = [
+        apply_point_reference(h, Point(box.x_min, box.y_min)),
+        apply_point_reference(h, Point(box.x_max, box.y_min)),
+        apply_point_reference(h, Point(box.x_max, box.y_max)),
+        apply_point_reference(h, Point(box.x_min, box.y_max)),
+    ]
+    xs = [c.x for c in corners]
+    ys = [c.y for c in corners]
+    return Box(min(xs), min(ys), max(xs), max(ys), box.confidence)
+
+
+def iou_area_reference(a, b):
+    """IoU with the union taken from ``Box.area``."""
+    w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if w <= 0.0 or h <= 0.0:
+        return 0.0
+    inter = w * h
+    union = a.area + b.area - inter
+    return inter / union

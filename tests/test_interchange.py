@@ -1,3 +1,8 @@
+import copy
+import json
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +12,7 @@ from migrec.interchange import (
     CellHypothesis,
     CellLine,
     DetectionDocument,
+    InterchangeError,
     MigrationRecord,
     OpeningKeypoints,
     ParseError,
@@ -362,3 +368,119 @@ def test_in_memory_unnormalized_probabilities_fail_validation():
     with pytest.raises(ValidationError) as err:
         validate_document(doc)
     assert err.value.path == "tables[0].cells[0].class_probs"
+
+
+# --- malformed documents: every failure is a typed error -----------------------
+
+
+def write_lines(tmp_path, objs, name="doc.jsonl"):
+    path = tmp_path / name
+    path.write_text("\n".join(json.dumps(o) for o in objs) + "\n", encoding="utf-8")
+    return path
+
+
+def document_lines(tmp_path):
+    line = CellLine(Box(12, 12, 48, 20, 0.9), TextHypothesis("Anna", 0.8))
+    multi = CellHypothesis(
+        box=Box(10, 40, 50, 60, 0.9), class_probs=(0.0, 1.0, 0.0, 0.0), lines=(line, line)
+    )
+    path = tmp_path / "source.jsonl"
+    write_document(make_document(cells=(make_cell(10, 10, 50, 30), multi)), str(path))
+    return [json.loads(raw) for raw in path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize(
+    "line, key, value, error, where",
+    [
+        (0, "image_width", True, ValidationError, "image_width"),
+        (0, "opening_id", 5, ValidationError, "opening_id"),
+        (0, "book_id", ["x"], ValidationError, "book_id"),
+    ],
+    ids=["bool-width", "int-opening-id", "list-book-id"],
+)
+def test_header_field_types_are_checked(tmp_path, line, key, value, error, where):
+    objs = document_lines(tmp_path)
+    objs[line][key] = value
+    with pytest.raises(error) as err:
+        read_document(str(write_lines(tmp_path, objs)))
+    assert err.value.path == where
+
+
+@pytest.mark.parametrize(
+    "line, keys, value, error, where",
+    [
+        (3, ("lines",), 5, ParseError, "line 4: lines"),
+        (3, ("lines",), 1.5, ParseError, "line 4: lines"),
+        (3, ("lines",), True, ParseError, "line 4: lines"),
+        (2, ("box", "x_max"), 10**400, ValidationError, "tables[0].cells[0].box.x_max"),
+        (2, ("class_probs", 0), 10**400, ValidationError, "line 3: class_probs[0]"),
+        (3, ("lines", 1, "text", "confidence"), -(10**400), ValidationError,
+         "tables[0].cells[1].lines[1].text.confidence"),
+        (0, ("keypoints", "e", "y"), 10**400, ValidationError, "keypoints.e.y"),
+    ],
+    ids=["int-lines", "float-lines", "bool-lines", "huge-box-field", "huge-probability",
+         "huge-line-confidence", "huge-keypoint"],
+)
+def test_bad_values_raise_typed_errors_naming_the_field(tmp_path, line, keys, value, error, where):
+    objs = document_lines(tmp_path)
+    target = objs[line]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(error) as err:
+        read_document(str(write_lines(tmp_path, objs)))
+    assert err.value.path == where
+
+
+def test_int_literal_beyond_the_digit_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "doc.jsonl"
+    write_document(make_document(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"confidence": 1.0', '"confidence": ' + "9" * 5000)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_document(str(path))
+    assert err.value.path == "line 2"
+
+
+MUTATION_VALUES = (
+    None, True, False, 0, -1, 5, 1.5, -0.0, 5e-324, float("inf"), float("-inf"),
+    float("nan"), 10**400, -(10**400), "", "x", [], [1], [0.5, 0.5], {}, {"a": 1},
+)
+
+
+def field_paths(obj, prefix=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def test_single_field_mutations_read_or_raise_interchange_errors(tmp_path):
+    rng = random.Random(20261018)
+    objs = document_lines(tmp_path)
+    fields = [(i, path) for i, obj in enumerate(objs) for path in field_paths(obj)]
+    outcomes = Counter()
+    for n in range(4000):
+        mutated = copy.deepcopy(objs)
+        line, keys = rng.choice(fields)
+        target = mutated[line]
+        for key in keys[:-1]:
+            target = target[key]
+        if isinstance(target, dict) and rng.random() < 0.1:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = rng.choice(MUTATION_VALUES)
+        path = write_lines(tmp_path, mutated, name=f"m{n % 8}.jsonl")
+        try:
+            read_document(str(path))
+            outcomes["read"] += 1
+        except InterchangeError as exc:
+            outcomes[type(exc).__name__] += 1
+    # the mutations reach both kinds of error and leave some documents valid
+    assert outcomes["read"] and outcomes["ParseError"] and outcomes["ValidationError"]

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from argparse import Namespace
 from collections import Counter
 from dataclasses import replace
@@ -254,6 +255,44 @@ def test_years_builds_no_grids(corpus, tmp_path, monkeypatch):
     out_path = tmp_path / "years.csv"
     assert cmd_years(corpus["paths"]["observed"], str(out_path), ChronoConfig()) == EXIT_OK
     assert out_path.read_bytes() == expected.read_bytes()
+
+
+def broken_document(observed_dir, kind):
+    if kind == "truncated-json":
+        return '{"kind": "document", "opening_id": "zz", "book_id": "book0000"\n'
+    lines = sorted(Path(observed_dir).glob("*.jsonl"))[0].read_text(encoding="utf-8").split("\n")
+    header = json.loads(lines[0])
+    header["book_id"] = ["x"]
+    return "\n".join([json.dumps(header)] + lines[1:])
+
+
+@pytest.mark.parametrize("kind", ["truncated-json", "list-book-id"])
+def test_years_skips_a_malformed_document(corpus, tmp_path, caplog, kind):
+    in_dir = tmp_path / "docs"
+    shutil.copytree(corpus["paths"]["observed"], in_dir)
+    expected = tmp_path / "expected.csv"
+    assert cmd_years(str(in_dir), str(expected), ChronoConfig()) == EXIT_OK
+    broken = in_dir / "zz_broken.jsonl"
+    broken.write_text(broken_document(in_dir, kind), encoding="utf-8")
+
+    out_path = tmp_path / "years.csv"
+    with caplog.at_level("WARNING", logger="migrec.cli"):
+        assert main(["years", str(in_dir), str(out_path)]) == EXIT_PARTIAL
+    assert str(broken) in caplog.text
+    assert out_path.read_bytes() == expected.read_bytes()
+    # extract skips the same document
+    assert main(["extract", str(in_dir), str(tmp_path / "records.csv")]) == EXIT_PARTIAL
+
+
+def test_eval_fatal_error_names_the_file(corpus, tmp_path, caplog):
+    pred_dir = tmp_path / "pred"
+    shutil.copytree(corpus["paths"]["observed"], pred_dir)
+    broken = sorted(pred_dir.glob("*.jsonl"))[1]
+    broken.write_text(broken.read_text(encoding="utf-8")[:300], encoding="utf-8")
+    with caplog.at_level("ERROR", logger="migrec.cli"):
+        code = main(["eval", str(pred_dir), corpus["paths"]["gold"], str(tmp_path / "eval")])
+    assert code == EXIT_FATAL
+    assert f"fatal: {broken}: line 1: invalid JSON" in caplog.text
 
 
 def test_deskew_document_without_keypoints_keeps_tables(corpus):

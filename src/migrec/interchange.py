@@ -43,8 +43,14 @@ class InterchangeError(ValueError):
     """Base error for document and record I/O."""
 
     def __init__(self, message: str, path: str = "") -> None:
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+    def within(self, prefix: str, sep: str = ".") -> "InterchangeError":
+        """The same error at ``prefix`` + ``sep`` + its path (``prefix`` alone
+        when it has none), so that a path is built only when a check fails."""
+        return type(self)(self.message, f"{prefix}{sep}{self.path}" if self.path else prefix)
 
 
 class ParseError(InterchangeError):
@@ -248,7 +254,18 @@ def validate_box(b: Box, path: str) -> None:
 
     Each check is a plain predicate; the field path of an error is built
     only when the check fails, so a valid box costs no string formatting.
+    Five plain floats that would pass every check, nearly every box read,
+    are recognised by one chained comparison (nan fails every comparison);
+    anything else runs the checks.
     """
+    x0, y0, x1, y1, c = b.x_min, b.y_min, b.x_max, b.y_max, b.confidence
+    if (
+        type(x0) is float and type(y0) is float and type(x1) is float and type(y1) is float
+        and type(c) is float
+        and -math.inf < x0 < x1 < math.inf and -math.inf < y0 < y1 < math.inf
+        and 0.0 <= c <= 1.0
+    ):
+        return
     _require_finite(b, _BOX_FIELDS, path)
     if not b.x_min < b.x_max:
         raise ValidationError("x_min must be < x_max", path)
@@ -277,17 +294,28 @@ def normalize_class_probs(
     """Validate a 4-class distribution, renormalizing tiny drift.
 
     Sums within ``PROB_RENORM_LIMIT`` of one are rescaled exactly to one;
-    anything further off is rejected.
+    anything further off is rejected.  Four plain floats in [0, 1], nearly
+    every distribution read, skip the per-value checks and clamps, which
+    would leave them as they are.
     """
     if len(probs) != 4:
         raise ValidationError("expected exactly 4 class probabilities", path)
-    values = []
-    for i, p in enumerate(probs):
-        if not _is_finite(p):
-            raise ValidationError(_NOT_FINITE, f"{path}[{i}]")
-        if not -PROB_SUM_TOLERANCE <= p <= 1.0 + PROB_SUM_TOLERANCE:
-            raise ValidationError("probability outside [0, 1]", f"{path}[{i}]")
-        values.append(0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p))
+    a, b, c, d = probs
+    if (
+        type(a) is float and type(b) is float and type(c) is float and type(d) is float
+        and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0 and 0.0 <= d <= 1.0
+    ):
+        values = (a, b, c, d)
+    else:
+        values = []
+        for i, p in enumerate(probs):
+            if not _is_finite(p):
+                raise ValidationError(_NOT_FINITE, f"{path}[{i}]")
+            if not -PROB_SUM_TOLERANCE <= p <= 1.0 + PROB_SUM_TOLERANCE:
+                raise ValidationError("probability outside [0, 1]", f"{path}[{i}]")
+            values.append(0.0 if p < 0.0 else 1.0 if p > 1.0 else float(p))
+    # one sum() over the same values on both paths: sum() of floats is
+    # compensated from Python 3.12 on, a + b + c + d is not
     total = sum(values)
     if abs(total - 1.0) <= PROB_SUM_TOLERANCE:
         return tuple(values)  # type: ignore[return-value]
@@ -296,28 +324,38 @@ def normalize_class_probs(
     raise ValidationError(f"class probabilities sum to {total:.6f}, not 1", path)
 
 
-def validate_cell(cell: CellHypothesis, path: str) -> None:
-    _validate_cell(cell, path, probs_checked=False)
+def _validate_cell(cell: CellHypothesis, table_box: Box) -> None:
+    """Check a cell's box, lines and text, then that it lies in ``table_box``.
 
-
-def _validate_cell(cell: CellHypothesis, path: str, probs_checked: bool) -> None:
-    validate_box(cell.box, f"{path}.box")
-    if not probs_checked:
-        probs = normalize_class_probs(cell.class_probs, f"{path}.class_probs")
-        if any(abs(a - b) > 0 for a, b in zip(probs, cell.class_probs)):
-            raise ValidationError("class probabilities are not normalized", f"{path}.class_probs")
+    Paths are relative to the cell (``box``, ``lines[1].text``); the caller
+    puts the cell's line or document path before them.
+    """
+    validate_box(cell.box, "box")
     if cell.lines and dominant_class(cell.class_probs) != "multi_line":
-        raise ValidationError(
-            "line boxes present but dominant class is not multi_line", f"{path}.lines"
-        )
+        raise ValidationError("line boxes present but dominant class is not multi_line", "lines")
     for i, line in enumerate(cell.lines):
-        validate_box(line.box, f"{path}.lines[{i}].box")
-        validate_text(line.text, f"{path}.lines[{i}].text")
+        try:
+            validate_box(line.box, "box")
+            validate_text(line.text, "text")
+        except ValidationError as exc:
+            raise exc.within(f"lines[{i}]") from None
     if cell.text is not None:
-        validate_text(cell.text, f"{path}.text")
+        validate_text(cell.text, "text")
+    b, t, tol = cell.box, table_box, CELL_CLAMP_TOLERANCE
+    if (
+        b.x_min < t.x_min - tol
+        or b.y_min < t.y_min - tol
+        or b.x_max > t.x_max + tol
+        or b.y_max > t.y_max + tol
+    ):
+        raise ValidationError(
+            "cell box lies outside its table box beyond the clamping tolerance", "box"
+        )
 
 
 def validate_text(t: TextHypothesis, path: str) -> None:
+    if type(t.text) is str and type(t.confidence) is float and 0.0 <= t.confidence <= 1.0:
+        return
     if not isinstance(t.text, str):
         raise ValidationError("text must be a string", f"{path}.text")
     _require_finite(t, ("confidence",), path)
@@ -325,11 +363,8 @@ def validate_text(t: TextHypothesis, path: str) -> None:
         raise ValidationError("confidence must lie in [0, 1]", f"{path}.confidence")
 
 
-def validate_document(doc: DetectionDocument) -> None:
-    _validate_document(doc, probs_checked=False)
-
-
-def _validate_document(doc: DetectionDocument, probs_checked: bool) -> None:
+def _validate_header(doc: DetectionDocument) -> None:
+    """Check the header fields and keypoints; each error names its field."""
     for name in ("opening_id", "book_id"):
         value = getattr(doc, name)
         if not value:
@@ -347,23 +382,25 @@ def _validate_document(doc: DetectionDocument, probs_checked: bool) -> None:
         )
     if doc.keypoints is not None:
         validate_keypoints(doc.keypoints)
+
+
+def validate_document(doc: DetectionDocument) -> None:
+    """Check every invariant of an in-memory document.
+
+    Errors name a document path such as ``tables[0].cells[3].box``; class
+    distributions must already be normalized.
+    """
+    _validate_header(doc)
     for t, table in enumerate(doc.tables):
-        tpath = f"tables[{t}]"
-        validate_box(table.box, f"{tpath}.box")
+        validate_box(table.box, f"tables[{t}].box")
         for c, cell in enumerate(table.cells):
-            cpath = f"{tpath}.cells[{c}]"
-            _validate_cell(cell, cpath, probs_checked)
-            tol = CELL_CLAMP_TOLERANCE
-            if (
-                cell.box.x_min < table.box.x_min - tol
-                or cell.box.y_min < table.box.y_min - tol
-                or cell.box.x_max > table.box.x_max + tol
-                or cell.box.y_max > table.box.y_max + tol
-            ):
-                raise ValidationError(
-                    "cell box lies outside its table box beyond the clamping tolerance",
-                    f"{cpath}.box",
-                )
+            try:
+                probs = normalize_class_probs(cell.class_probs)
+                if any(abs(a - b) > 0 for a, b in zip(probs, cell.class_probs)):
+                    raise ValidationError("class probabilities are not normalized", "class_probs")
+                _validate_cell(cell, table.box)
+            except ValidationError as exc:
+                raise exc.within(f"tables[{t}].cells[{c}]") from None
     for y, det in enumerate(doc.year_detections):
         validate_box(det.box, f"year_detections[{y}].box")
         validate_text(det.text, f"year_detections[{y}].text")
@@ -445,9 +482,9 @@ def write_document(doc: DetectionDocument, path: str) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _parse_point(obj, path: str) -> Point:
+def _parse_keypoint(obj, name: str) -> Point:
     if not isinstance(obj, dict) or set(obj) != {"x", "y"}:
-        raise ParseError("expected an object with fields x, y", path)
+        raise ParseError("expected an object with fields x, y", f"keypoints.{name}")
     return Point(obj["x"], obj["y"])
 
 
@@ -455,119 +492,145 @@ _BOX_KEYS = frozenset(_BOX_FIELDS)
 _TEXT_KEYS = frozenset(("text", "confidence"))
 
 
-def _parse_box(obj, path: str) -> Box:
+def _parse_box(obj) -> Box:
     if not isinstance(obj, dict) or obj.keys() != _BOX_KEYS:
-        raise ParseError(f"expected an object with fields {sorted(_BOX_KEYS)}", path)
+        raise ParseError(f"expected an object with fields {sorted(_BOX_KEYS)}", "box")
     return Box(obj["x_min"], obj["y_min"], obj["x_max"], obj["y_max"], obj["confidence"])
 
 
-def _parse_text(obj, path: str) -> TextHypothesis:
+def _parse_text(obj) -> TextHypothesis:
     if not isinstance(obj, dict) or obj.keys() != _TEXT_KEYS:
-        raise ParseError("expected an object with fields text, confidence", path)
+        raise ParseError("expected an object with fields text, confidence", "text")
     return TextHypothesis(obj["text"], obj["confidence"])
 
 
-def read_document(path: str) -> DetectionDocument:
-    """Parse and validate one document file.
+def _not_utf8(path: str) -> ParseError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ParseError(
+            f"not UTF-8 text ({exc.reason}, byte 0x{data[exc.start]:02x})", f"line {line}"
+        )
+    return ParseError("not UTF-8 text", "line 1")  # the file changed while it was read
 
-    Any malformed line raises :class:`ParseError`; a syntactically valid file
-    that violates an invariant raises :class:`ValidationError`.  Both carry
-    the offending field path.
+
+def read_document(path: str) -> DetectionDocument:
+    """Parse and validate one document file in a single pass.
+
+    Each line is decoded with ``json.loads`` and checked in full before the
+    next one is read: the header fields and keypoints, each table box, each
+    cell's box, class distribution, text and lines and its place in its
+    table (parsed on an earlier line), and each year detection.  The first
+    bad line raises :class:`ParseError` for malformed syntax or structure
+    (a file that is not UTF-8 included) or :class:`ValidationError` for a
+    value that violates an invariant.  Both name the line and the field,
+    as in ``line 3: box.x_max``; lines are counted in the file, blank ones
+    included.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        # split on newlines only: JSON escapes \n and \r inside strings, but
-        # other Unicode line separators (U+0085 etc.) pass through verbatim
-        # and must not break records the way splitlines() would
-        raw_lines = [line for line in handle.read().split("\n") if line.strip()]
-    if not raw_lines:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            content = handle.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    if not content or content.isspace():
         raise ParseError("empty document file", "line 1")
 
     header = None
     tables: list[tuple[Box, list[CellHypothesis]]] = []
     years: list[YearDetection] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        where = f"line {lineno}"
+    # split on newlines only: JSON escapes \n and \r inside strings, but
+    # other Unicode line separators (U+0085 etc.) pass through verbatim
+    # and must not break records the way splitlines() would
+    for lineno, raw in enumerate(content.split("\n"), start=1):
+        if not raw.strip():
+            continue
         try:
             obj = json.loads(raw)
-        except ValueError as exc:  # also an int literal beyond the digit limit
-            raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", where) from exc
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ParseError("expected an object with a 'kind' field", where)
-        kind = obj["kind"]
-        if kind == "document":
-            if header is not None:
-                raise ParseError("duplicate document header", where)
-            kp = None
-            if obj.get("keypoints") is not None:
-                kp_obj = obj["keypoints"]
-                if not isinstance(kp_obj, dict) or set(kp_obj) != set("abcdef"):
-                    raise ParseError("keypoints must map exactly a..f", f"{where}: keypoints")
-                kp = OpeningKeypoints(
-                    **{name: _parse_point(kp_obj[name], f"{where}: keypoints.{name}") for name in "abcdef"}
-                )
-            try:
-                header = DetectionDocument(
-                    opening_id=obj["opening_id"],
-                    book_id=obj["book_id"],
-                    image_width=obj["image_width"],
-                    image_height=obj["image_height"],
-                    layout_type=obj["layout_type"],
-                    keypoints=kp,
-                )
-            except KeyError as exc:
-                raise ParseError(f"missing document field {exc.args[0]!r}", where) from exc
-        elif kind == "table":
-            tables.append((_parse_box(obj.get("box"), f"{where}: box"), []))
-        elif kind == "cell":
-            index = obj.get("table")
-            if not isinstance(index, int) or not 0 <= index < len(tables):
-                raise ParseError(f"cell references unknown table {index!r}", where)
-            probs = obj.get("class_probs")
-            if not isinstance(probs, list):
-                raise ParseError("class_probs must be a list", f"{where}: class_probs")
-            line_objs = obj.get("lines") or []
-            if isinstance(line_objs, (int, float)):
-                # a string or an object iterates to entries that fail below
-                raise ParseError("lines must be a list", f"{where}: lines")
-            lines = []
-            for i, line_obj in enumerate(line_objs):
-                lpath = f"{where}: lines[{i}]"
-                if not isinstance(line_obj, dict):
-                    raise ParseError("line entries must be objects", lpath)
-                lines.append(
-                    CellLine(
-                        _parse_box(line_obj.get("box"), f"{lpath}.box"),
-                        _parse_text(line_obj.get("text"), f"{lpath}.text"),
+        except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
+            message = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+            raise ParseError(message, f"line {lineno}") from exc
+        try:
+            if not isinstance(obj, dict) or "kind" not in obj:
+                raise ParseError("expected an object with a 'kind' field")
+            kind = obj["kind"]
+            if kind == "document":
+                if header is not None:
+                    raise ParseError("duplicate document header")
+                kp = None
+                if obj.get("keypoints") is not None:
+                    kp_obj = obj["keypoints"]
+                    if not isinstance(kp_obj, dict) or set(kp_obj) != set("abcdef"):
+                        raise ParseError("keypoints must map exactly a..f", "keypoints")
+                    kp = OpeningKeypoints(
+                        **{name: _parse_keypoint(kp_obj[name], name) for name in "abcdef"}
                     )
+                try:
+                    header = DetectionDocument(
+                        opening_id=obj["opening_id"],
+                        book_id=obj["book_id"],
+                        image_width=obj["image_width"],
+                        image_height=obj["image_height"],
+                        layout_type=obj["layout_type"],
+                        keypoints=kp,
+                    )
+                except KeyError as exc:
+                    raise ParseError(f"missing document field {exc.args[0]!r}") from exc
+                _validate_header(header)
+            elif kind == "table":
+                box = _parse_box(obj.get("box"))
+                validate_box(box, "box")
+                tables.append((box, []))
+            elif kind == "cell":
+                index = obj.get("table")
+                if type(index) is not int or not 0 <= index < len(tables):
+                    raise ParseError(f"cell references unknown table {index!r}")
+                probs = obj.get("class_probs")
+                if not isinstance(probs, list):
+                    raise ParseError("class_probs must be a list", "class_probs")
+                line_objs = obj.get("lines") or ()
+                if isinstance(line_objs, (int, float)):
+                    # a string or an object iterates to entries that fail below
+                    raise ParseError("lines must be a list", "lines")
+                lines = []
+                for i, line_obj in enumerate(line_objs):
+                    try:
+                        if not isinstance(line_obj, dict):
+                            raise ParseError("line entries must be objects")
+                        box = _parse_box(line_obj.get("box"))
+                        lines.append(CellLine(box, _parse_text(line_obj.get("text"))))
+                    except ParseError as exc:
+                        raise exc.within(f"lines[{i}]") from None
+                text = obj.get("text")
+                cell = CellHypothesis(
+                    _parse_box(obj.get("box")),
+                    normalize_class_probs(probs),
+                    None if text is None else _parse_text(text),
+                    tuple(lines),
                 )
-            text = obj.get("text")
-            cell = CellHypothesis(
-                box=_parse_box(obj.get("box"), f"{where}: box"),
-                class_probs=normalize_class_probs(probs, f"{where}: class_probs"),
-                text=None if text is None else _parse_text(text, f"{where}: text"),
-                lines=tuple(lines),
-            )
-            tables[index][1].append(cell)
-        elif kind == "year":
-            years.append(
-                YearDetection(
-                    _parse_box(obj.get("box"), f"{where}: box"),
-                    _parse_text(obj.get("text"), f"{where}: text"),
-                )
-            )
-        else:
-            raise ParseError(f"unknown line kind {kind!r}", where)
+                table_box, cells = tables[index]
+                _validate_cell(cell, table_box)
+                cells.append(cell)
+            elif kind == "year":
+                det = YearDetection(_parse_box(obj.get("box")), _parse_text(obj.get("text")))
+                validate_box(det.box, "box")
+                validate_text(det.text, "text")
+                years.append(det)
+            else:
+                raise ParseError(f"unknown line kind {kind!r}")
+        except InterchangeError as exc:
+            raise exc.within(f"line {lineno}", ": ") from None
 
     if header is None:
         raise ParseError("missing document header line", "line 1")
-    doc = replace(
+    return replace(
         header,
         tables=tuple(TableDetection(box, tuple(cells)) for box, cells in tables),
         year_detections=tuple(years),
     )
-    # each class distribution was validated and renormalized at parse
-    _validate_document(doc, probs_checked=True)
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -667,88 +730,100 @@ def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
     a CSV row must have exactly the header's cells (blank lines are
     skipped), and a JSONL record every key :func:`write_records` writes.
     Each record is validated as it is parsed, so an invalid value raises
-    :class:`ValidationError` at ``line N: record.<field>``.
+    :class:`ValidationError` at ``line N: record.<field>``.  A file that is
+    not UTF-8 raises :class:`ParseError` naming the line of its first bad
+    byte.
     """
-    records: list[MigrationRecord] = []
-    if format == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                head = next(reader)
-            except StopIteration:
-                raise ParseError("empty records file", "line 1") from None
-            if head[: len(_RECORD_COLUMNS)] != list(_RECORD_COLUMNS):
-                raise ParseError("unexpected CSV header", "line 1")
-            labels = [c[len(_FIELD_PREFIX) :] for c in head[len(_RECORD_COLUMNS) :]]
-            for row in reader:
-                if not row:
-                    continue
-                where = f"line {reader.line_num}"
-                if len(row) < len(head):
-                    raise ParseError(
-                        f"row has {len(row)} cells, the header {len(head)}",
-                        f"{where}: {head[len(row)]}",
-                    )
-                if len(row) > len(head):
-                    raise ParseError(
-                        f"row has {len(row)} cells, the header {len(head)}",
-                        f"{where}: column {len(head) + 1}",
-                    )
-                fixed, rest = row[: len(_RECORD_COLUMNS)], row[len(_RECORD_COLUMNS) :]
-                try:
-                    year = int(fixed[3]) if fixed[3] else None
-                except ValueError:
-                    raise ParseError(
-                        f"year must be an integer, not {fixed[3]!r}", f"{where}: year"
-                    ) from None
-                record = MigrationRecord(
-                    book_id=fixed[0],
-                    opening_id=fixed[1],
-                    page_side=fixed[2],
-                    year=year,
-                    direction=fixed[4],
-                    parish_raw=fixed[5] or None,
-                    parish_canonical=fixed[6] or None,
-                    flags=frozenset(f for f in fixed[7].split(";") if f),
-                    fields=dict(zip(labels, rest)),
-                )
-                validate_record(record, f"{where}: record")
-                records.append(record)
-    elif format == "jsonl":
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                if not raw.strip():
-                    continue
-                where = f"line {lineno}"
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON ({exc.msg})", where) from exc
-                if not isinstance(obj, dict):
-                    raise ParseError("expected a JSON object", where)
-                for key in _JSONL_KEYS:
-                    if key not in obj:
-                        raise ParseError("missing record field", f"{where}: {key}")
-                year = obj["year"]
-                if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
-                    raise ParseError(f"year must be an integer or null, not {year!r}", f"{where}: year")
-                if not isinstance(obj["fields"], dict):
-                    raise ParseError("fields must be an object", f"{where}: fields")
-                if not isinstance(obj["flags"], list):
-                    raise ParseError("flags must be a list", f"{where}: flags")
-                record = MigrationRecord(
-                    book_id=obj["book_id"],
-                    opening_id=obj["opening_id"],
-                    page_side=obj["page_side"],
-                    year=year,
-                    direction=obj["direction"],
-                    fields=dict(obj["fields"]),
-                    parish_raw=obj["parish_raw"],
-                    parish_canonical=obj["parish_canonical"],
-                    flags=frozenset(obj["flags"]),
-                )
-                validate_record(record, f"{where}: record")
-                records.append(record)
-    else:
+    if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown record format {format!r}")
+    try:
+        return _read_csv_records(path) if format == "csv" else _read_jsonl_records(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _read_csv_records(path: str) -> list[MigrationRecord]:
+    records: list[MigrationRecord] = []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            head = next(reader)
+        except StopIteration:
+            raise ParseError("empty records file", "line 1") from None
+        if head[: len(_RECORD_COLUMNS)] != list(_RECORD_COLUMNS):
+            raise ParseError("unexpected CSV header", "line 1")
+        labels = [c[len(_FIELD_PREFIX) :] for c in head[len(_RECORD_COLUMNS) :]]
+        for row in reader:
+            if not row:
+                continue
+            where = f"line {reader.line_num}"
+            if len(row) < len(head):
+                raise ParseError(
+                    f"row has {len(row)} cells, the header {len(head)}",
+                    f"{where}: {head[len(row)]}",
+                )
+            if len(row) > len(head):
+                raise ParseError(
+                    f"row has {len(row)} cells, the header {len(head)}",
+                    f"{where}: column {len(head) + 1}",
+                )
+            fixed, rest = row[: len(_RECORD_COLUMNS)], row[len(_RECORD_COLUMNS) :]
+            try:
+                year = int(fixed[3]) if fixed[3] else None
+            except ValueError:
+                raise ParseError(
+                    f"year must be an integer, not {fixed[3]!r}", f"{where}: year"
+                ) from None
+            record = MigrationRecord(
+                book_id=fixed[0],
+                opening_id=fixed[1],
+                page_side=fixed[2],
+                year=year,
+                direction=fixed[4],
+                parish_raw=fixed[5] or None,
+                parish_canonical=fixed[6] or None,
+                flags=frozenset(f for f in fixed[7].split(";") if f),
+                fields=dict(zip(labels, rest)),
+            )
+            validate_record(record, f"{where}: record")
+            records.append(record)
+    return records
+
+
+def _read_jsonl_records(path: str) -> list[MigrationRecord]:
+    records: list[MigrationRecord] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            where = f"line {lineno}"
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", where) from exc
+            if not isinstance(obj, dict):
+                raise ParseError("expected a JSON object", where)
+            for key in _JSONL_KEYS:
+                if key not in obj:
+                    raise ParseError("missing record field", f"{where}: {key}")
+            year = obj["year"]
+            if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
+                raise ParseError(f"year must be an integer or null, not {year!r}", f"{where}: year")
+            if not isinstance(obj["fields"], dict):
+                raise ParseError("fields must be an object", f"{where}: fields")
+            if not isinstance(obj["flags"], list):
+                raise ParseError("flags must be a list", f"{where}: flags")
+            record = MigrationRecord(
+                book_id=obj["book_id"],
+                opening_id=obj["opening_id"],
+                page_side=obj["page_side"],
+                year=year,
+                direction=obj["direction"],
+                fields=dict(obj["fields"]),
+                parish_raw=obj["parish_raw"],
+                parish_canonical=obj["parish_canonical"],
+                flags=frozenset(obj["flags"]),
+            )
+            validate_record(record, f"{where}: record")
+            records.append(record)
     return records

@@ -4,23 +4,41 @@ These deliberately avoid the library's code paths: quadratic neighbor
 search for DBSCAN, a full-matrix edit distance, all-pairs and exhaustive
 box matching and exhaustive year-sequence search.  Keep them dumb.
 
-The per-box references at the end keep the library's earlier, slower
-validation, projection and IoU code verbatim: the rewritten functions must
-give the same results and raise the same errors.
+The per-box references and the document reader at the end keep the
+library's earlier, slower validation, projection, IoU and parsing code
+verbatim: the rewritten functions must give the same results and raise the
+same errors.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from dataclasses import replace
 
 from migrec.geometry import PointAtInfinityError
 from migrec.interchange import (
+    CELL_CLAMP_TOLERANCE,
+    LAYOUT_TYPES,
     PROB_RENORM_LIMIT,
     PROB_SUM_TOLERANCE,
     Box,
+    CellHypothesis,
+    CellLine,
+    DetectionDocument,
+    OpeningKeypoints,
+    ParseError,
     Point,
+    TableDetection,
+    TextHypothesis,
     ValidationError,
+    YearDetection,
+    dominant_class,
+    normalize_class_probs,
+    validate_box,
+    validate_keypoints,
+    validate_text,
 )
 
 
@@ -349,3 +367,181 @@ def iou_area_reference(a, b):
     inter = w * h
     union = a.area + b.area - inter
     return inter / union
+
+
+# --- document reader: parse every line, then validate the whole document ------
+
+
+def _validate_document_reference(doc):
+    """The second walk of the earlier reader; class distributions were
+    validated and renormalized at parse."""
+    for name in ("opening_id", "book_id"):
+        value = getattr(doc, name)
+        if not value:
+            raise ValidationError(f"{name} must be non-empty", name)
+        if not isinstance(value, str):
+            raise ValidationError(f"{name} must be a string", name)
+    for name in ("image_width", "image_height"):
+        value = getattr(doc, name)
+        if type(value) is bool or not isinstance(value, int) or value <= 0:
+            raise ValidationError("must be a positive integer", name)
+    if doc.layout_type not in LAYOUT_TYPES:
+        raise ValidationError(
+            f"unknown layout_type {doc.layout_type!r}; expected one of {LAYOUT_TYPES}",
+            "layout_type",
+        )
+    if doc.keypoints is not None:
+        validate_keypoints(doc.keypoints)
+    for t, table in enumerate(doc.tables):
+        tpath = f"tables[{t}]"
+        validate_box(table.box, f"{tpath}.box")
+        for c, cell in enumerate(table.cells):
+            cpath = f"{tpath}.cells[{c}]"
+            validate_box(cell.box, f"{cpath}.box")
+            if cell.lines and dominant_class(cell.class_probs) != "multi_line":
+                raise ValidationError(
+                    "line boxes present but dominant class is not multi_line", f"{cpath}.lines"
+                )
+            for i, line in enumerate(cell.lines):
+                validate_box(line.box, f"{cpath}.lines[{i}].box")
+                validate_text(line.text, f"{cpath}.lines[{i}].text")
+            if cell.text is not None:
+                validate_text(cell.text, f"{cpath}.text")
+            tol = CELL_CLAMP_TOLERANCE
+            if (
+                cell.box.x_min < table.box.x_min - tol
+                or cell.box.y_min < table.box.y_min - tol
+                or cell.box.x_max > table.box.x_max + tol
+                or cell.box.y_max > table.box.y_max + tol
+            ):
+                raise ValidationError(
+                    "cell box lies outside its table box beyond the clamping tolerance",
+                    f"{cpath}.box",
+                )
+    for y, det in enumerate(doc.year_detections):
+        validate_box(det.box, f"year_detections[{y}].box")
+        validate_text(det.text, f"year_detections[{y}].text")
+
+
+def _parse_point_reference(obj, path):
+    if not isinstance(obj, dict) or set(obj) != {"x", "y"}:
+        raise ParseError("expected an object with fields x, y", path)
+    return Point(obj["x"], obj["y"])
+
+
+_BOX_KEYS = frozenset(("x_min", "y_min", "x_max", "y_max", "confidence"))
+_TEXT_KEYS = frozenset(("text", "confidence"))
+
+
+def _parse_box_reference(obj, path):
+    if not isinstance(obj, dict) or obj.keys() != _BOX_KEYS:
+        raise ParseError(f"expected an object with fields {sorted(_BOX_KEYS)}", path)
+    return Box(obj["x_min"], obj["y_min"], obj["x_max"], obj["y_max"], obj["confidence"])
+
+
+def _parse_text_reference(obj, path):
+    if not isinstance(obj, dict) or obj.keys() != _TEXT_KEYS:
+        raise ParseError("expected an object with fields text, confidence", path)
+    return TextHypothesis(obj["text"], obj["confidence"])
+
+
+def read_document_reference(path):
+    """Parse every line, then validate the whole document in a second walk.
+
+    Value errors found in the walk name a document path
+    (``tables[0].cells[3].box.x_min``) with no line; a bool ``table`` index
+    is taken as 0 or 1, and a file that is not UTF-8 raises a bare
+    ``UnicodeDecodeError``.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        raw_lines = [line for line in handle.read().split("\n") if line.strip()]
+    if not raw_lines:
+        raise ParseError("empty document file", "line 1")
+
+    header = None
+    tables = []
+    years = []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        where = f"line {lineno}"
+        try:
+            obj = json.loads(raw)
+        except ValueError as exc:
+            raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", where) from exc
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ParseError("expected an object with a 'kind' field", where)
+        kind = obj["kind"]
+        if kind == "document":
+            if header is not None:
+                raise ParseError("duplicate document header", where)
+            kp = None
+            if obj.get("keypoints") is not None:
+                kp_obj = obj["keypoints"]
+                if not isinstance(kp_obj, dict) or set(kp_obj) != set("abcdef"):
+                    raise ParseError("keypoints must map exactly a..f", f"{where}: keypoints")
+                kp = OpeningKeypoints(
+                    **{
+                        name: _parse_point_reference(kp_obj[name], f"{where}: keypoints.{name}")
+                        for name in "abcdef"
+                    }
+                )
+            try:
+                header = DetectionDocument(
+                    opening_id=obj["opening_id"],
+                    book_id=obj["book_id"],
+                    image_width=obj["image_width"],
+                    image_height=obj["image_height"],
+                    layout_type=obj["layout_type"],
+                    keypoints=kp,
+                )
+            except KeyError as exc:
+                raise ParseError(f"missing document field {exc.args[0]!r}", where) from exc
+        elif kind == "table":
+            tables.append((_parse_box_reference(obj.get("box"), f"{where}: box"), []))
+        elif kind == "cell":
+            index = obj.get("table")
+            if not isinstance(index, int) or not 0 <= index < len(tables):
+                raise ParseError(f"cell references unknown table {index!r}", where)
+            probs = obj.get("class_probs")
+            if not isinstance(probs, list):
+                raise ParseError("class_probs must be a list", f"{where}: class_probs")
+            line_objs = obj.get("lines") or []
+            if isinstance(line_objs, (int, float)):
+                raise ParseError("lines must be a list", f"{where}: lines")
+            lines = []
+            for i, line_obj in enumerate(line_objs):
+                lpath = f"{where}: lines[{i}]"
+                if not isinstance(line_obj, dict):
+                    raise ParseError("line entries must be objects", lpath)
+                lines.append(
+                    CellLine(
+                        _parse_box_reference(line_obj.get("box"), f"{lpath}.box"),
+                        _parse_text_reference(line_obj.get("text"), f"{lpath}.text"),
+                    )
+                )
+            text = obj.get("text")
+            cell = CellHypothesis(
+                box=_parse_box_reference(obj.get("box"), f"{where}: box"),
+                class_probs=normalize_class_probs(probs, f"{where}: class_probs"),
+                text=None if text is None else _parse_text_reference(text, f"{where}: text"),
+                lines=tuple(lines),
+            )
+            tables[index][1].append(cell)
+        elif kind == "year":
+            years.append(
+                YearDetection(
+                    _parse_box_reference(obj.get("box"), f"{where}: box"),
+                    _parse_text_reference(obj.get("text"), f"{where}: text"),
+                )
+            )
+        else:
+            raise ParseError(f"unknown line kind {kind!r}", where)
+
+    if header is None:
+        raise ParseError("missing document header line", "line 1")
+    doc = replace(
+        header,
+        tables=tuple(TableDetection(box, tuple(cells)) for box, cells in tables),
+        year_detections=tuple(years),
+    )
+    _validate_document_reference(doc)
+    return doc

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -29,6 +30,7 @@ from migrec.interchange import (
     write_document,
     write_records,
 )
+from oracles import read_document_reference
 
 
 def make_cell(x0, y0, x1, y1, probs=(1.0, 0.0, 0.0, 0.0), text="x"):
@@ -392,9 +394,9 @@ def document_lines(tmp_path):
 @pytest.mark.parametrize(
     "line, key, value, error, where",
     [
-        (0, "image_width", True, ValidationError, "image_width"),
-        (0, "opening_id", 5, ValidationError, "opening_id"),
-        (0, "book_id", ["x"], ValidationError, "book_id"),
+        (0, "image_width", True, ValidationError, "line 1: image_width"),
+        (0, "opening_id", 5, ValidationError, "line 1: opening_id"),
+        (0, "book_id", ["x"], ValidationError, "line 1: book_id"),
     ],
     ids=["bool-width", "int-opening-id", "list-book-id"],
 )
@@ -412,11 +414,11 @@ def test_header_field_types_are_checked(tmp_path, line, key, value, error, where
         (3, ("lines",), 5, ParseError, "line 4: lines"),
         (3, ("lines",), 1.5, ParseError, "line 4: lines"),
         (3, ("lines",), True, ParseError, "line 4: lines"),
-        (2, ("box", "x_max"), 10**400, ValidationError, "tables[0].cells[0].box.x_max"),
+        (2, ("box", "x_max"), 10**400, ValidationError, "line 3: box.x_max"),
         (2, ("class_probs", 0), 10**400, ValidationError, "line 3: class_probs[0]"),
         (3, ("lines", 1, "text", "confidence"), -(10**400), ValidationError,
-         "tables[0].cells[1].lines[1].text.confidence"),
-        (0, ("keypoints", "e", "y"), 10**400, ValidationError, "keypoints.e.y"),
+         "line 4: lines[1].text.confidence"),
+        (0, ("keypoints", "e", "y"), 10**400, ValidationError, "line 1: keypoints.e.y"),
     ],
     ids=["int-lines", "float-lines", "bool-lines", "huge-box-field", "huge-probability",
          "huge-line-confidence", "huge-keypoint"],
@@ -430,6 +432,15 @@ def test_bad_values_raise_typed_errors_naming_the_field(tmp_path, line, keys, va
     with pytest.raises(error) as err:
         read_document(str(write_lines(tmp_path, objs)))
     assert err.value.path == where
+
+
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "doc.jsonl"
+    path.write_text("\n[" + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_document(str(path))
+    assert err.value.path == "line 2"
+    assert err.value.message.startswith("invalid JSON (maximum recursion depth exceeded")
 
 
 def test_int_literal_beyond_the_digit_limit_is_a_parse_error(tmp_path):
@@ -484,3 +495,153 @@ def test_single_field_mutations_read_or_raise_interchange_errors(tmp_path):
             outcomes[type(exc).__name__] += 1
     # the mutations reach both kinds of error and leave some documents valid
     assert outcomes["read"] and outcomes["ParseError"] and outcomes["ValidationError"]
+
+
+# --- one validated pass: the same outcomes as the two-pass reader ---------------
+
+DELETE = object()
+
+
+def mutate(objs, line, keys, value):
+    mutated = copy.deepcopy(objs)
+    target = mutated[line]
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return mutated
+
+
+def object_lines(objs):
+    """Line numbers of the header, tables, cells and years as a reader files them."""
+    where = {"header": 1, "tables": [], "cells": {}, "years": []}
+    for lineno, obj in enumerate(objs, start=1):
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind == "document":
+            where["header"] = lineno
+        elif kind == "table":
+            where["tables"].append(lineno)
+            where["cells"][len(where["tables"]) - 1] = []
+        elif kind == "cell" and isinstance(obj.get("table"), int):
+            where["cells"].setdefault(obj["table"], []).append(lineno)
+        elif kind == "year":
+            where["years"].append(lineno)
+    return where
+
+
+def line_form(path, objs):
+    """A document path of the two-pass reader as ``line N: field``."""
+    if path.startswith("line "):
+        return path
+    where = object_lines(objs)
+    match = re.fullmatch(r"tables\[(\d+)\]\.cells\[(\d+)\]\.(.+)", path)
+    if match:
+        t, c, field = match.groups()
+        return f"line {where['cells'][int(t)][int(c)]}: {field}"
+    match = re.fullmatch(r"tables\[(\d+)\]\.(.+)", path)
+    if match:
+        return f"line {where['tables'][int(match.group(1))]}: {match.group(2)}"
+    match = re.fullmatch(r"year_detections\[(\d+)\]\.(.+)", path)
+    if match:
+        return f"line {where['years'][int(match.group(1))]}: {match.group(2)}"
+    return f"line {where['header']}: {path}"
+
+
+def read_outcome(reader, path):
+    try:
+        return ("read", repr(reader(str(path))))
+    except InterchangeError as exc:
+        return (type(exc).__name__, exc.message, exc.path)
+
+
+def test_every_single_field_mutation_reads_as_the_two_pass_reader(tmp_path):
+    objs = document_lines(tmp_path)
+    fields = [(i, keys) for i, obj in enumerate(objs) for keys in field_paths(obj)]
+    differences = Counter()
+    for line, keys in fields:
+        parent = objs[line]
+        for key in keys[:-1]:
+            parent = parent[key]
+        deletable = isinstance(parent, dict)
+        for value in MUTATION_VALUES + ((DELETE,) if deletable else ()):
+            mutated = mutate(objs, line, keys, value)
+            path = write_lines(tmp_path, mutated, name="mutated.jsonl")
+            new = read_outcome(read_document, path)
+            ref = read_outcome(read_document_reference, path)
+            if keys == ("table",) and type(value) is bool:
+                # the two-pass reader took a bool as table 0 or 1
+                assert new == ("ParseError", f"cell references unknown table {value!r}",
+                               f"line {line + 1}")
+                differences[ref[0]] += 1
+                continue
+            if ref[0] == "read":
+                assert new == ref, (line, keys, value)
+            else:
+                assert new == (ref[0], ref[1], line_form(ref[2], mutated)), (line, keys, value)
+    # False was filed under table 0; True named a table that does not exist
+    assert differences == {"read": 2, "ParseError": 2}
+
+
+def test_a_bool_table_index_is_a_parse_error_naming_the_line(tmp_path):
+    objs = document_lines(tmp_path)
+    objs.insert(2, {"kind": "table", "box": objs[1]["box"]})
+    for value in (False, True):
+        objs[3]["table"] = value
+        path = write_lines(tmp_path, objs)
+        read_document_reference(str(path))  # filed under table 0 or 1
+        with pytest.raises(ParseError) as err:
+            read_document(str(path))
+        assert str(err.value) == f"line 4: cell references unknown table {value}"
+
+
+def test_lines_that_fail_alone_fail_at_the_first_one(tmp_path):
+    text = '{"kind": "document", "pad": "\n"}\n{"kind": "year"}, {"kind": "year"}\n'
+    lines = text.split("\n")[:3]
+    # each line fails alone, but joined into one array they decode to three objects
+    assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+    path = tmp_path / "doc.jsonl"
+    path.write_text(text, encoding="utf-8")
+    for reader in (read_document, read_document_reference):
+        with pytest.raises(ParseError) as err:
+            reader(str(path))
+        assert err.value.path == "line 1"
+        assert err.value.message.startswith("invalid JSON (Unterminated string")
+
+
+def test_an_error_after_a_blank_line_names_its_line_in_the_file(tmp_path):
+    objs = document_lines(tmp_path)
+    objs[2]["box"]["x_max"] = 1.0
+    path = tmp_path / "doc.jsonl"
+    path.write_text("\n".join(json.dumps(o) for o in objs[:2]) + "\n\n"
+                    + "\n".join(json.dumps(o) for o in objs[2:]) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        read_document(str(path))
+    assert str(err.value) == "line 4: box: x_min must be < x_max"
+
+
+@pytest.mark.parametrize("bad_line", [1, 3])
+def test_a_document_that_is_not_utf8_is_a_parse_error_naming_the_line(tmp_path, bad_line):
+    path = tmp_path / "doc.jsonl"
+    write_document(make_document(), str(path))
+    lines = path.read_bytes().split(b"\n")
+    lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        read_document(str(path))
+    assert err.value.path == f"line {bad_line}"
+    assert err.value.message == "not UTF-8 text (invalid start byte, byte 0xff)"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_records_file_that_is_not_utf8_is_a_parse_error_naming_the_line(tmp_path, fmt):
+    path = tmp_path / f"records.{fmt}"
+    write_records([make_record(i) for i in range(3)], str(path), format=fmt)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"Person", b"P\xe4rson")  # Latin-1, not UTF-8
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format=fmt)
+    assert err.value.path == "line 3"
+    assert err.value.message == "not UTF-8 text (invalid continuation byte, byte 0xe4)"

@@ -66,8 +66,18 @@ def assert_same(new, ref):
         assert new == ref
 
 
+# five plain floats take the library's fast path, whatever their values
+plain = st.one_of(st.floats(-4, 4), special)
+plain_probability = st.one_of(st.floats(-0.5, 1.5), special)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.tuples(coordinate, coordinate, coordinate, coordinate, probability))
+@given(
+    st.one_of(
+        st.tuples(coordinate, coordinate, coordinate, coordinate, probability),
+        st.tuples(plain, plain, plain, plain, plain_probability),
+    )
+)
 def test_validate_box_matches_reference(fields):
     box = Box(*fields)
     assert_same(
@@ -80,7 +90,11 @@ def test_validate_box_matches_reference(fields):
 def near_distributions(draw):
     head = [draw(st.floats(0.0, 0.4)) for _ in range(3)]
     drift = draw(st.sampled_from((0.0, 1e-7, -1e-7, 5e-4, -5e-4, 2e-3, -2e-3)))
-    return head + [1.0 - sum(head) + drift]
+    probs = head + [1.0 - sum(head) + drift]
+    if draw(st.booleans()):
+        # a value just below zero, which is clamped, kept as -0.0 or rejected
+        probs[draw(st.integers(0, 3))] = draw(st.sampled_from((-0.0, -5e-324, -1e-7, -2e-6)))
+    return probs
 
 
 @settings(max_examples=400, deadline=None)
@@ -88,6 +102,7 @@ def near_distributions(draw):
     st.one_of(
         near_distributions(),
         st.lists(probability, min_size=4, max_size=4),
+        st.lists(plain_probability, min_size=4, max_size=4),
         st.lists(probability, min_size=0, max_size=6),
     )
 )

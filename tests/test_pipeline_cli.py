@@ -259,21 +259,24 @@ def test_years_builds_no_grids(corpus, tmp_path, monkeypatch):
 
 def broken_document(observed_dir, kind):
     if kind == "truncated-json":
-        return '{"kind": "document", "opening_id": "zz", "book_id": "book0000"\n'
-    lines = sorted(Path(observed_dir).glob("*.jsonl"))[0].read_text(encoding="utf-8").split("\n")
+        return b'{"kind": "document", "opening_id": "zz", "book_id": "book0000"\n'
+    source = sorted(Path(observed_dir).glob("*.jsonl"))[0].read_bytes()
+    if kind == "not-utf8":
+        return b"\xff\xfe" + source
+    lines = source.decode("utf-8").split("\n")
     header = json.loads(lines[0])
     header["book_id"] = ["x"]
-    return "\n".join([json.dumps(header)] + lines[1:])
+    return "\n".join([json.dumps(header)] + lines[1:]).encode("utf-8")
 
 
-@pytest.mark.parametrize("kind", ["truncated-json", "list-book-id"])
+@pytest.mark.parametrize("kind", ["truncated-json", "list-book-id", "not-utf8"])
 def test_years_skips_a_malformed_document(corpus, tmp_path, caplog, kind):
     in_dir = tmp_path / "docs"
     shutil.copytree(corpus["paths"]["observed"], in_dir)
     expected = tmp_path / "expected.csv"
     assert cmd_years(str(in_dir), str(expected), ChronoConfig()) == EXIT_OK
     broken = in_dir / "zz_broken.jsonl"
-    broken.write_text(broken_document(in_dir, kind), encoding="utf-8")
+    broken.write_bytes(broken_document(in_dir, kind))
 
     out_path = tmp_path / "years.csv"
     with caplog.at_level("WARNING", logger="migrec.cli"):

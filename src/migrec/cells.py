@@ -19,6 +19,7 @@ from .interchange import (
     Box,
     CellHypothesis,
     MigrationRecord,
+    content_lines,
     dominant_class,
     normalize_class_probs,
 )
@@ -184,19 +185,14 @@ def read_schema_file(path: str) -> ColumnSchema:
     labels: list[str] = []
     kinds: list[str] = []
     avg_lens: list[float | None] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip() or stripped.lstrip().startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected label<TAB>kind[;avg_len]")
-            label = parts[0].strip()
-            kind, _, avg = parts[1].partition(";")
-            labels.append(label)
-            kinds.append(kind.strip())
-            avg_lens.append(float(avg) if avg.strip() else None)
+    for lineno, line in content_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected label<TAB>kind[;avg_len]")
+        kind, _, avg = parts[1].partition(";")
+        labels.append(parts[0].strip())
+        kinds.append(kind.strip())
+        avg_lens.append(float(avg) if avg.strip() else None)
     return ColumnSchema(labels=tuple(labels), kinds=tuple(kinds), avg_lens=tuple(avg_lens))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -21,31 +20,33 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from . import evaluation as ev
-from .cells import cell_text, read_schema_file
-from .chrono import (
-    ChronoConfig,
-    HttpCorrectorClient,
-    PageObservations,
-    evaluate_years,
-    infer_sequence,
+from .cells import read_schema_file
+from .chrono import ChronoConfig, HttpCorrectorClient
+from .gridrec import GridConfig
+from .interchange import (
+    content_lines,
+    read_document,
+    read_records,
+    write_csv,
+    write_json,
+    write_records,
 )
-from .geometry import angle_stats, apply_point, edge_angle_from_vertical
-from .gridrec import GridConfig, complete_grid_with_retry
-from .interchange import Box, dominant_class, read_document, read_records, write_csv, write_records
 from .normalize import Gazetteer, detect_duplicate_books, filter_usable
 from .pipeline import (
     DIRECTION_MODES,
+    EVAL_REPORTS,
     PipelineOptions,
     collect_years,
-    deskew_document,
+    eval_reports,
     group_documents_by_book,
     match_parishes,
     process_book,
     resolve_years,
+    score_opening,
 )
 # Not called here; perfbench/tracing.py wraps these names on this module too.
-from .pipeline import deskew_transforms, normalize_year_token, transform_box  # noqa: F401
+from .pipeline import complete_grid_with_retry, deskew_transforms, infer_sequence  # noqa: F401
+from .pipeline import normalize_year_token, transform_box  # noqa: F401
 from .synth import SynthConfig, generate_book, write_corpus
 
 log = logging.getLogger(__name__)
@@ -58,15 +59,11 @@ EXIT_PARTIAL = 2
 def _read_config_file(path: str) -> dict[str, str]:
     """Plain key = value configuration; '#' comments and blank lines ignored."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in content_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -127,18 +124,15 @@ def _load_book_directions(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     directions = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            book_id, tab, mode = stripped.partition("\t")
-            if not tab or mode.strip() not in DIRECTION_MODES:
-                raise ValueError(
-                    f"{path}:{lineno}: expected book_id<TAB>mode with mode one of "
-                    f"{', '.join(DIRECTION_MODES)}, not {stripped!r}"
-                )
-            directions[book_id.strip()] = mode.strip()
+    for lineno, line in content_lines(path):
+        stripped = line.strip()
+        book_id, tab, mode = stripped.partition("\t")
+        if not tab or mode.strip() not in DIRECTION_MODES:
+            raise ValueError(
+                f"{path}:{lineno}: expected book_id<TAB>mode with mode one of "
+                f"{', '.join(DIRECTION_MODES)}, not {stripped!r}"
+            )
+        directions[book_id.strip()] = mode.strip()
     return directions
 
 
@@ -200,9 +194,7 @@ def cmd_extract(
     }
     if summary_path is None:
         summary_path = out_path + ".summary.json"
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary_obj, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(summary_path, summary_obj)
     log.info(
         "extracted %d records from %d openings (%d failed)",
         len(records),
@@ -217,29 +209,6 @@ def cmd_extract(
 # ---------------------------------------------------------------------------
 
 
-def _grid_boxes(tables, grid_cfg: GridConfig):
-    """Row and column boxes derived from grid reconstruction per table."""
-    row_boxes: list[Box] = []
-    col_boxes: list[Box] = []
-    for _side, table in tables:
-        if not table.cells:
-            continue
-        box = table.box
-        try:
-            grid = complete_grid_with_retry(box, table.cells, grid_cfg)
-        except Exception as exc:
-            log.warning("grid reconstruction failed during eval: %s", exc)
-            continue
-        for band in grid.rows:
-            row_boxes.append(Box(box.x_min, band.start, box.x_max, band.end, 1.0))
-        for band in grid.cols:
-            col_boxes.append(Box(band.start, box.y_min, band.end, box.y_max, 1.0))
-    return row_boxes, col_boxes
-
-
-_CLASS_LABELS = ("single_line", "multi_line", "repetition", "empty")
-
-
 def cmd_eval(
     pred_dir: str,
     gold_dir: str,
@@ -247,43 +216,35 @@ def cmd_eval(
     grid_cfg: GridConfig | None = None,
     chrono_cfg: ChronoConfig | None = None,
 ) -> int:
-    """Score predicted documents against gold documents, table by table.
+    """Score predicted documents against the gold documents of the same file name.
 
-    Emits detection metrics (tables, rows, columns; split by layout type),
-    a cell classification report, text EM/CER metrics, year extraction
-    P/R/F1 and skew-angle statistics as CSV files under ``out_dir``.
+    Pairs are scored in file-name order, and the reports that
+    :func:`~migrec.pipeline.eval_reports` merges from the scores are written
+    as CSV files under ``out_dir``.  Two documents of one name under the same
+    directory are a fatal error.
     """
     grid_cfg = grid_cfg or GridConfig()
     chrono_cfg = chrono_cfg or ChronoConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    gold_files = {Path(p).name: p for p in _document_paths(gold_dir)}
-    pred_files = {Path(p).name: p for p in _document_paths(pred_dir)}
+    files: tuple[dict[str, str], dict[str, str]] = ({}, {})  # file name -> path
+    for by_name, directory in zip(files, (gold_dir, pred_dir)):
+        for path in _document_paths(directory):
+            first = by_name.setdefault(Path(path).name, path)
+            if first != path:
+                log.error("fatal: two documents named %s under %s: %s and %s",
+                          Path(path).name, directory, first, path)
+                return EXIT_FATAL
+    gold_files, pred_files = files
     shared = sorted(set(gold_files) & set(pred_files))
     if not shared:
         log.error("no overlapping document files between %s and %s", pred_dir, gold_dir)
         return EXIT_FATAL
-    missing = sorted(set(gold_files) - set(pred_files))
-    for name in missing:
+    for name in sorted(set(gold_files) - set(pred_files)):
         log.warning("no prediction for %s", name)
 
-    det_counts: dict[tuple[str, str], ev.EvalCounts] = {}
-    confusion: Counter = Counter()
-    class_support: Counter = Counter()
-    text_pairs: list[tuple[str, str]] = []
-    years_pred_raw: dict[tuple[str, str], set[int]] = {}
-    years_pred_rule: dict[tuple[str, str], set[int]] = {}
-    years_gold: dict[tuple[str, str], set[int]] = {}
-    base_angles: dict[str, list[float]] = {"left": [], "middle": [], "right": []}
-    deskew_angles: dict[str, list[float]] = {"left": [], "middle": [], "right": []}
-    books_pages: dict[str, list[PageObservations]] = {}
-
-    def add_counts(kind: str, layout: str, counts: ev.EvalCounts) -> None:
-        for split in (layout, "all"):
-            key = (kind, split)
-            det_counts[key] = det_counts.get(key, ev.EvalCounts()) + counts
-
+    scores = []
     for name in shared:
         try:
             path = gold_files[name]
@@ -293,157 +254,9 @@ def cmd_eval(
         except (OSError, ValueError) as exc:
             log.error("fatal: %s: %s", path, exc)
             return EXIT_FATAL
-        layout = gold_doc.layout_type
-
-        gold_tables, _ = deskew_document(gold_doc)
-        pred_tables, (h_left, h_right) = deskew_document(pred_doc)
-
-        counts, _ = ev.match_detections(
-            [t.box for _, t in pred_tables], [t.box for _, t in gold_tables]
-        )
-        add_counts("tables", layout, counts)
-
-        pred_rows, pred_cols = _grid_boxes(pred_tables, grid_cfg)
-        gold_rows, gold_cols = _grid_boxes(gold_tables, grid_cfg)
-        row_counts, _ = ev.match_detections(pred_rows, gold_rows)
-        add_counts("rows", layout, row_counts)
-        col_counts, _ = ev.match_detections(pred_cols, gold_cols)
-        add_counts("columns", layout, col_counts)
-
-        pred_cells = [c for _, t in pred_tables for c in t.cells]
-        gold_cells = [c for _, t in gold_tables for c in t.cells]
-        _, pairing = ev.match_detections([c.box for c in pred_cells], [c.box for c in gold_cells])
-        for pi, gi, _score in pairing:
-            pred_class = dominant_class(pred_cells[pi].class_probs)
-            gold_class = dominant_class(gold_cells[gi].class_probs)
-            confusion[(gold_class, pred_class)] += 1
-            class_support[gold_class] += 1
-            gold_text = cell_text(gold_cells[gi])
-            if gold_text:
-                text_pairs.append((cell_text(pred_cells[pi]) or "", gold_text))
-
-        pred_pages = collect_years(pred_doc, chrono_cfg)
-        gold_pages = collect_years(gold_doc, chrono_cfg)
-        for by_side, target in ((pred_pages, years_pred_raw), (gold_pages, years_gold)):
-            for page in by_side.values():
-                target.setdefault((page.opening_id, page.side), set()).update(page.years())
-        books_pages.setdefault(pred_doc.book_id, []).extend(pred_pages.values())
-
-        if pred_doc.keypoints is not None:
-            kp = pred_doc.keypoints
-            base_angles["left"].append(edge_angle_from_vertical(kp.a, kp.d))
-            base_angles["middle"].append(edge_angle_from_vertical(kp.b, kp.e))
-            base_angles["right"].append(edge_angle_from_vertical(kp.c, kp.f))
-            deskew_angles["left"].append(
-                edge_angle_from_vertical(apply_point(h_left, kp.a), apply_point(h_left, kp.d))
-            )
-            deskew_angles["middle"].append(
-                edge_angle_from_vertical(apply_point(h_left, kp.b), apply_point(h_left, kp.e))
-            )
-            deskew_angles["right"].append(
-                edge_angle_from_vertical(apply_point(h_right, kp.c), apply_point(h_right, kp.f))
-            )
-
-    for book_id, pages in books_pages.items():
-        pages.sort(key=lambda p: (p.opening_id, p.side))
-        sequence = infer_sequence(pages, chrono_cfg)
-        resolved = [p.year for p in sequence.pages]
-        for i, (page, obs) in enumerate(zip(sequence.pages, pages)):
-            key = (page.opening_id, page.side)
-            if page.year is None:
-                years_pred_rule[key] = set()
-                continue
-            # a page may legitimately state the following year too (mid-page
-            # change); keep observations consistent with the resolved sequence
-            upper = page.year
-            if i + 1 < len(resolved) and resolved[i + 1] is not None:
-                upper = max(upper, resolved[i + 1])
-            kept = {y for y in obs.years() if page.year <= y <= upper}
-            years_pred_rule[key] = {page.year} | kept
-
-    r = ev.round_half_up
-
-    # --- detection metrics CSV
-    rows = []
-    for kind in ("tables", "rows", "columns"):
-        for split in ("preprinted", "handdrawn", "all"):
-            counts = det_counts.get((kind, split))
-            if counts is None or counts.tp + counts.fp + counts.fn == 0:
-                continue
-            row = ev.metrics(counts, category=f"{kind}/{split}")
-            rows.append(
-                (kind, split, r(row.accuracy), r(row.recall), r(row.precision), r(row.f1),
-                 counts.tp, counts.fp, counts.fn)
-            )
-    write_csv(
-        out / "detection_metrics.csv",
-        ("category", "layout", "accuracy", "recall", "precision", "f1", "tp", "fp", "fn"),
-        rows,
-    )
-
-    # --- cell classification report CSV
-    rows = []
-    class_rows = []
-    for label in _CLASS_LABELS:
-        support = class_support[label]
-        if support == 0:
-            continue
-        tp = confusion[(label, label)]
-        predicted = sum(confusion[(g, label)] for g in _CLASS_LABELS)
-        precision = 100.0 * tp / predicted if predicted else 0.0
-        recall = 100.0 * tp / support
-        class_rows.append(
-            ev.ClassRow(label, precision, recall, ev.f1_score(precision, recall), support)
-        )
-    if class_rows:
-        report = ev.class_report(class_rows)
-        for row in report.rows:
-            rows.append((row.label, r(row.precision), r(row.recall), r(row.f1), row.support))
-        total = report.total_support
-        correct = sum(confusion[(label, label)] for label in _CLASS_LABELS)
-        rows.append(("accuracy", "", "", r(100.0 * correct / total), total))
-        rows.append(
-            ("macro_avg", r(report.macro_precision), r(report.macro_recall),
-             r(report.macro_f1), total)
-        )
-        rows.append(
-            ("weighted_avg", r(report.weighted_precision), r(report.weighted_recall),
-             r(report.weighted_f1), total)
-        )
-    write_csv(
-        out / "cell_classification.csv", ("label", "precision", "recall", "f1", "support"), rows
-    )
-
-    # --- text metrics CSV ('?' references excluded, numeric/textual split)
-    write_csv(
-        out / "text_metrics.csv",
-        ("class", "exact_match", "cer", "avg_ref_length", "support"),
-        (
-            (row.label, r(row.exact_match), round(row.cer, 4), r(row.avg_ref_length), row.support)
-            for row in ev.split_metrics(ev.filter_unreadable(text_pairs))
-        ),
-    )
-
-    # --- year metrics CSV
-    rows = []
-    for method, pred in (("raw", years_pred_raw), ("rule_corrected", years_pred_rule)):
-        result = evaluate_years(pred, years_gold)
-        rows.append(
-            (method, r(result.precision), r(result.recall), r(result.f1), result.pages_scored)
-        )
-    write_csv(out / "year_metrics.csv", ("method", "precision", "recall", "f1", "pages"), rows)
-
-    # --- skew angle statistics CSV
-    rows = []
-    for stage, angles in (("base", base_angles), ("deskewed", deskew_angles)):
-        for edge in ("left", "middle", "right"):
-            values = angles[edge]
-            if not values:
-                continue
-            mean, sd = angle_stats(values)
-            rows.append((stage, edge, f"{mean:.6g}", f"{sd:.6g}", len(values)))
-    write_csv(out / "skew_angles.csv", ("stage", "edge", "mean_deg", "sd_deg", "n"), rows)
-
+        scores.append(score_opening(pred_doc, gold_doc, grid_cfg, chrono_cfg))
+    for name, (header, rows) in eval_reports(scores, chrono_cfg).items():
+        write_csv(out / name, header, rows)
     log.info("evaluation reports written to %s", out)
     return EXIT_OK
 
@@ -532,9 +345,7 @@ def cmd_normalize(
     }
     if report_path is None:
         report_path = out_path + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(report_path, report)
     return EXIT_OK
 
 
@@ -580,9 +391,7 @@ def cmd_aggregate(
         "excluded_missing_year": excluded_year,
         "excluded_unmatched_parish": excluded_parish,
     }
-    with open(out / "aggregate_summary.json", "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    write_json(out / "aggregate_summary.json", summary)
     return EXIT_OK
 
 
@@ -607,15 +416,8 @@ def cmd_report(eval_dir: str, stream=None) -> int:
     """Render the eval CSV reports as aligned text tables."""
     stream = stream or sys.stdout
     directory = Path(eval_dir)
-    names = (
-        "detection_metrics.csv",
-        "cell_classification.csv",
-        "text_metrics.csv",
-        "year_metrics.csv",
-        "skew_angles.csv",
-    )
     found = False
-    for name in names:
+    for name in EVAL_REPORTS:
         path = directory / name
         if not path.exists():
             continue

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 LAYOUT_TYPES = ("handdrawn", "preprinted", "half_table", "free_text", "other")
 CELL_CLASSES = ("single_line", "multi_line", "repetition", "empty")
@@ -518,6 +518,15 @@ def _not_utf8(path: str) -> ParseError:
     return ParseError("not UTF-8 text", "line 1")  # the file changed while it was read
 
 
+def decode_json_line(raw: str, lineno: int):
+    """``json.loads`` of one line; whatever it rejects (too many digits and too
+    deep nesting included) is a :class:`ParseError` at ``line N``."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", f"line {lineno}") from exc
+
+
 def read_document(path: str) -> DetectionDocument:
     """Parse and validate one document file in a single pass.
 
@@ -548,11 +557,7 @@ def read_document(path: str) -> DetectionDocument:
     for lineno, raw in enumerate(content.split("\n"), start=1):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
-            message = f"invalid JSON ({getattr(exc, 'msg', exc)})"
-            raise ParseError(message, f"line {lineno}") from exc
+        obj = decode_json_line(raw, lineno)
         try:
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise ParseError("expected an object with a 'kind' field")
@@ -672,12 +677,28 @@ def _field_labels(records: Iterable[MigrationRecord]) -> list[str]:
     return labels
 
 
+def content_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) of a UTF-8 text file;
+    blank lines and '#' comment lines are skipped."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line.rstrip("\n")
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header and rows as UTF-8 CSV: RFC 4180 quoting, LF line ends, None empty."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as UTF-8 JSON indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, ensure_ascii=False, indent=2)
+        handle.write("\n")
 
 
 def write_records(records: Sequence[MigrationRecord], path: str, format: str = "csv") -> None:
@@ -797,10 +818,7 @@ def _read_jsonl_records(path: str) -> list[MigrationRecord]:
             if not raw.strip():
                 continue
             where = f"line {lineno}"
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", where) from exc
+            obj = decode_json_line(raw, lineno)
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", where)
             for key in _JSONL_KEYS:

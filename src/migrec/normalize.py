@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .evaluation import edit_distance
-from .interchange import MigrationRecord
+from .interchange import MigrationRecord, content_lines
 
 REJECTION_REASONS = ("missing_direction", "missing_year", "missing_parish", "unmatched_parish")
 
@@ -81,21 +81,17 @@ class Gazetteer:
         variant list may be empty.  UTF-8, '#' comments allowed.
         """
         pairs = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.rstrip("\n")
-                if not stripped.strip() or stripped.lstrip().startswith("#"):
-                    continue
-                parts = stripped.split("\t")
-                if len(parts) > 2:
-                    raise GazetteerError(f"line {lineno}: expected at most one tab")
-                canonical = parts[0].strip()
-                if not canonical:
-                    raise GazetteerError(f"line {lineno}: empty canonical name")
-                variants = []
-                if len(parts) == 2 and parts[1].strip():
-                    variants = [v.strip() for v in parts[1].split(";") if v.strip()]
-                pairs.append((canonical, variants))
+        for lineno, line in content_lines(path):
+            parts = line.split("\t")
+            if len(parts) > 2:
+                raise GazetteerError(f"line {lineno}: expected at most one tab")
+            canonical = parts[0].strip()
+            if not canonical:
+                raise GazetteerError(f"line {lineno}: empty canonical name")
+            variants = []
+            if len(parts) == 2 and parts[1].strip():
+                variants = [v.strip() for v in parts[1].split(";") if v.strip()]
+            pairs.append((canonical, variants))
         return Gazetteer.from_pairs(pairs)
 
     def to_file(self, path: str) -> None:

@@ -18,7 +18,9 @@ The steps the commands share live here, once each:
   ``years``);
 - :func:`match_parishes` matches raw parish names against a gazetteer with
   a per-call memo (``extract`` through :func:`process_book`, and
-  ``normalize``).
+  ``normalize``);
+- :func:`score_opening` scores one opening against its gold document and
+  :func:`eval_reports` merges the scores into the report rows (``eval``).
 """
 
 from __future__ import annotations
@@ -26,28 +28,22 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .cells import ColumnSchema, assemble_records
+from . import evaluation as ev
+from .cells import ColumnSchema, assemble_records, cell_text
 from .chrono import (
-    BookYearSequence,
-    ChronoConfig,
-    CorrectorClient,
-    PageObservations,
-    YearObservation,
-    external_correct,
-    infer_sequence,
-    normalize_year_token,
+    BookYearSequence, ChronoConfig, CorrectorClient, PageObservations, YearObservation,
+    evaluate_years, external_correct, infer_sequence, normalize_year_token,
 )
-from .geometry import Homography, apply_point, deskew_transforms, transform_box
+from .geometry import (
+    Homography, angle_stats, apply_point, deskew_transforms, edge_angle_from_vertical,
+    transform_box,
+)
 from .gridrec import GridConfig, GridTable, complete_grid_with_retry, merge_split_tables
 from .interchange import (
-    CellHypothesis,
-    CellLine,
-    DetectionDocument,
-    MigrationRecord,
-    TableDetection,
-    read_document,
+    CELL_CLASSES, LAYOUT_TYPES, Box, CellHypothesis, CellLine, DetectionDocument, MigrationRecord,
+    TableDetection, decode_json_line, dominant_class, read_document,
 )
 from .normalize import Gazetteer, MatchResult, match_parish
 
@@ -223,6 +219,199 @@ def process_opening(doc: DetectionDocument, options: PipelineOptions) -> Opening
     )
 
 
+EVAL_REPORTS = {  # eval report file name -> header
+    "detection_metrics.csv": ("category", "layout", "accuracy", "recall", "precision", "f1",
+                              "tp", "fp", "fn"),
+    "cell_classification.csv": ("label", "precision", "recall", "f1", "support"),
+    "text_metrics.csv": ("class", "exact_match", "cer", "avg_ref_length", "support"),
+    "year_metrics.csv": ("method", "precision", "recall", "f1", "pages"),
+    "skew_angles.csv": ("stage", "edge", "mean_deg", "sd_deg", "n"),
+}
+# detection report splits: preprinted and handdrawn first, so reports keep their row order
+_SPLITS = ("preprinted", "handdrawn")
+_SPLITS += tuple(t for t in LAYOUT_TYPES if t not in _SPLITS) + ("all",)
+
+
+@dataclass
+class OpeningScore:
+    """One opening scored against its gold document; see :func:`eval_reports`."""
+
+    book_id: str
+    layout_type: str  # the gold document's
+    detections: dict[str, ev.EvalCounts]  # "tables", "rows", "columns"
+    confusion: Counter  # (gold class, predicted class) of matched cells
+    text_pairs: list[tuple[str, str]]  # (predicted, gold) text of matched cells
+    pred_pages: dict[str, PageObservations]
+    gold_pages: dict[str, PageObservations]
+    angles: list[tuple[str, str, float]]  # (stage, edge, degrees from vertical)
+
+
+def _grid_boxes(opening_id: str, tables, grid_cfg: GridConfig) -> tuple[list[Box], list[Box]]:
+    """Row and column boxes derived from grid reconstruction per table."""
+    row_boxes: list[Box] = []
+    col_boxes: list[Box] = []
+    for _side, table in tables:
+        if not table.cells:
+            continue
+        box = table.box
+        try:
+            grid = complete_grid_with_retry(box, table.cells, grid_cfg)
+        except Exception as exc:
+            log.warning("opening %s: grid reconstruction failed during eval: %s", opening_id, exc)
+            continue
+        row_boxes += [Box(box.x_min, band.start, box.x_max, band.end, 1.0) for band in grid.rows]
+        col_boxes += [Box(band.start, box.y_min, band.end, box.y_max, 1.0) for band in grid.cols]
+    return row_boxes, col_boxes
+
+
+def score_opening(
+    pred_doc: DetectionDocument,
+    gold_doc: DetectionDocument,
+    grid_cfg: GridConfig,
+    chrono_cfg: ChronoConfig,
+) -> OpeningScore:
+    """Score one predicted opening against its gold document, both de-skewed.
+
+    Tables, grid rows and grid columns are matched box to box; matched cells
+    give the class confusion and, where the gold cell has text, a text pair.
+    """
+    gold_tables, _ = deskew_document(gold_doc)
+    pred_tables, (h_left, h_right) = deskew_document(pred_doc)
+    detections = {}
+    detections["tables"], _ = ev.match_detections(
+        [t.box for _, t in pred_tables], [t.box for _, t in gold_tables]
+    )
+    pred_rows, pred_cols = _grid_boxes(pred_doc.opening_id, pred_tables, grid_cfg)
+    gold_rows, gold_cols = _grid_boxes(gold_doc.opening_id, gold_tables, grid_cfg)
+    detections["rows"], _ = ev.match_detections(pred_rows, gold_rows)
+    detections["columns"], _ = ev.match_detections(pred_cols, gold_cols)
+
+    pred_cells = [c for _, t in pred_tables for c in t.cells]
+    gold_cells = [c for _, t in gold_tables for c in t.cells]
+    _, pairing = ev.match_detections([c.box for c in pred_cells], [c.box for c in gold_cells])
+    confusion: Counter = Counter()
+    text_pairs = []
+    for pi, gi, _score in pairing:
+        pred, gold = pred_cells[pi], gold_cells[gi]
+        confusion[(dominant_class(gold.class_probs), dominant_class(pred.class_probs))] += 1
+        if gold_text := cell_text(gold):
+            text_pairs.append((cell_text(pred) or "", gold_text))
+
+    angles = []
+    kp = pred_doc.keypoints
+    if kp is not None:
+        edges = (("left", kp.a, kp.d, h_left), ("middle", kp.b, kp.e, h_left),
+                 ("right", kp.c, kp.f, h_right))
+        for edge, top, bottom, h in edges:
+            angles.append(("base", edge, edge_angle_from_vertical(top, bottom)))
+            deskewed = edge_angle_from_vertical(apply_point(h, top), apply_point(h, bottom))
+            angles.append(("deskewed", edge, deskewed))
+
+    return OpeningScore(
+        pred_doc.book_id, gold_doc.layout_type, detections, confusion, text_pairs,
+        collect_years(pred_doc, chrono_cfg), collect_years(gold_doc, chrono_cfg), angles,
+    )
+
+
+def eval_reports(
+    scores: Iterable[OpeningScore], chrono_cfg: ChronoConfig
+) -> dict[str, tuple[tuple[str, ...], list[tuple]]]:
+    """Merge opening scores into the eval reports: file name -> (header, rows).
+
+    The rule-corrected years come from one year DP per book.  Give the
+    scores in file-name order: skew angles are summed as floats in the
+    order the scores come.
+    """
+    det_counts: dict[tuple[str, str], ev.EvalCounts] = {}
+    confusion: Counter = Counter()
+    text_pairs: list[tuple[str, str]] = []
+    years_pred_raw: dict[tuple[str, str], set[int]] = {}
+    years_pred_rule: dict[tuple[str, str], set[int]] = {}
+    years_gold: dict[tuple[str, str], set[int]] = {}
+    books_pages: dict[str, list[PageObservations]] = {}
+    angles: dict[tuple[str, str], list[float]] = {}  # (stage, edge) -> degrees
+    for score in scores:
+        for kind, counts in score.detections.items():
+            for key in ((kind, score.layout_type), (kind, "all")):
+                det_counts[key] = det_counts.get(key, ev.EvalCounts()) + counts
+        confusion.update(score.confusion)
+        text_pairs.extend(score.text_pairs)
+        for by_side, target in ((score.pred_pages, years_pred_raw), (score.gold_pages, years_gold)):
+            for page in by_side.values():
+                target.setdefault((page.opening_id, page.side), set()).update(page.years())
+        books_pages.setdefault(score.book_id, []).extend(score.pred_pages.values())
+        for stage, edge, degrees in score.angles:
+            angles.setdefault((stage, edge), []).append(degrees)
+
+    for pages in books_pages.values():
+        pages.sort(key=lambda p: (p.opening_id, p.side))
+        resolved = infer_sequence(pages, chrono_cfg).pages
+        for i, (page, obs) in enumerate(zip(resolved, pages)):
+            key = (page.opening_id, page.side)
+            if page.year is None:
+                years_pred_rule[key] = set()
+                continue
+            # a page may legitimately state the following year too (mid-page
+            # change); keep observations consistent with the resolved sequence
+            upper = page.year
+            if i + 1 < len(resolved) and resolved[i + 1].year is not None:
+                upper = max(upper, resolved[i + 1].year)
+            kept = {y for y in obs.years() if page.year <= y <= upper}
+            years_pred_rule[key] = {page.year} | kept
+
+    r = ev.round_half_up
+    detection = []
+    for kind in ("tables", "rows", "columns"):
+        for split in _SPLITS:
+            counts = det_counts.get((kind, split))
+            if counts is None or counts.tp + counts.fp + counts.fn == 0:
+                continue
+            m = ev.metrics(counts)
+            detection.append((kind, split, r(m.accuracy), r(m.recall), r(m.precision), r(m.f1),
+                              counts.tp, counts.fp, counts.fn))
+
+    class_rows = []
+    for label in CELL_CLASSES:
+        if support := sum(confusion[(label, pred)] for pred in CELL_CLASSES):
+            tp = confusion[(label, label)]
+            predicted = sum(confusion[(gold, label)] for gold in CELL_CLASSES)
+            precision = 100.0 * tp / predicted if predicted else 0.0
+            recall = 100.0 * tp / support
+            f1 = ev.f1_score(precision, recall)
+            class_rows.append(ev.ClassRow(label, precision, recall, f1, support))
+    classes = []
+    if class_rows:
+        report = ev.class_report(class_rows)
+        total = report.total_support
+        correct = sum(confusion[(label, label)] for label in CELL_CLASSES)
+        classes = [(c.label, r(c.precision), r(c.recall), r(c.f1), c.support) for c in report.rows]
+        classes += [
+            ("accuracy", "", "", r(100.0 * correct / total), total),
+            ("macro_avg", r(report.macro_precision), r(report.macro_recall),
+             r(report.macro_f1), total),
+            ("weighted_avg", r(report.weighted_precision), r(report.weighted_recall),
+             r(report.weighted_f1), total),
+        ]
+
+    text = [  # '?' references excluded, numeric/textual split
+        (t.label, r(t.exact_match), round(t.cer, 4), r(t.avg_ref_length), t.support)
+        for t in ev.split_metrics(ev.filter_unreadable(text_pairs))
+    ]
+    years = []
+    for method, pred in (("raw", years_pred_raw), ("rule_corrected", years_pred_rule)):
+        y = evaluate_years(pred, years_gold)
+        years.append((method, r(y.precision), r(y.recall), r(y.f1), y.pages_scored))
+    skew = []
+    for stage in ("base", "deskewed"):
+        for edge in ("left", "middle", "right"):
+            if values := angles.get((stage, edge)):
+                mean, sd = angle_stats(values)
+                skew.append((stage, edge, f"{mean:.6g}", f"{sd:.6g}", len(values)))
+
+    rows = (detection, classes, text, years, skew)
+    return {name: (header, body) for (name, header), body in zip(EVAL_REPORTS.items(), rows)}
+
+
 def _record_direction(mode: str, side: str, merged: bool) -> str:
     if mode in ("in", "out"):
         return mode
@@ -310,15 +499,12 @@ def group_documents_by_book(paths: Sequence[str]) -> dict[str, list[str]]:
     A file whose header cannot be read or has no string book id goes under
     ``<unreadable>``; reading the document later reports what is wrong.
     """
-    import json
-
     groups: dict[str, list[str]] = {}
     for path in paths:
         book_id = None
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                first = handle.readline()
-            obj = json.loads(first)
+                obj = decode_json_line(handle.readline(), 1)
             if isinstance(obj, dict) and isinstance(obj.get("book_id"), str):
                 book_id = obj["book_id"]
         except (OSError, ValueError):

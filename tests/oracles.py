@@ -7,17 +7,27 @@ box matching and exhaustive year-sequence search.  Keep them dumb.
 The per-box references and the document reader at the end keep the
 library's earlier, slower validation, projection, IoU and parsing code
 verbatim: the rewritten functions must give the same results and raise the
-same errors.
+same errors.  ``cmd_eval_reference`` keeps the eval command as it was when
+it scored every document inline, verbatim: the eval reports must stay the
+same bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
-from migrec.geometry import PointAtInfinityError
+from migrec import evaluation as ev
+from migrec.cells import cell_text
+from migrec.chrono import ChronoConfig, PageObservations, evaluate_years, infer_sequence
+from migrec.cli import EXIT_FATAL, EXIT_OK, _document_paths
+from migrec.geometry import PointAtInfinityError, angle_stats, apply_point, edge_angle_from_vertical
+from migrec.gridrec import GridConfig, complete_grid_with_retry
 from migrec.interchange import (
     CELL_CLAMP_TOLERANCE,
     LAYOUT_TYPES,
@@ -36,10 +46,13 @@ from migrec.interchange import (
     YearDetection,
     dominant_class,
     normalize_class_probs,
+    read_document,
     validate_box,
     validate_keypoints,
     validate_text,
+    write_csv,
 )
+from migrec.pipeline import collect_years, deskew_document
 
 
 def dbscan_reference(values, eps, min_pts):
@@ -545,3 +558,241 @@ def read_document_reference(path):
     )
     _validate_document_reference(doc)
     return doc
+
+
+# ---------------------------------------------------------------------------
+# The eval command as one loop, before scoring moved into the pipeline core
+# ---------------------------------------------------------------------------
+
+log = logging.getLogger(__name__)
+
+
+def _grid_boxes_reference(tables, grid_cfg: GridConfig):
+    """Row and column boxes derived from grid reconstruction per table."""
+    row_boxes: list[Box] = []
+    col_boxes: list[Box] = []
+    for _side, table in tables:
+        if not table.cells:
+            continue
+        box = table.box
+        try:
+            grid = complete_grid_with_retry(box, table.cells, grid_cfg)
+        except Exception as exc:
+            log.warning("grid reconstruction failed during eval: %s", exc)
+            continue
+        for band in grid.rows:
+            row_boxes.append(Box(box.x_min, band.start, box.x_max, band.end, 1.0))
+        for band in grid.cols:
+            col_boxes.append(Box(band.start, box.y_min, band.end, box.y_max, 1.0))
+    return row_boxes, col_boxes
+
+
+_CLASS_LABELS = ("single_line", "multi_line", "repetition", "empty")
+
+
+def cmd_eval_reference(
+    pred_dir: str,
+    gold_dir: str,
+    out_dir: str,
+    grid_cfg: GridConfig | None = None,
+    chrono_cfg: ChronoConfig | None = None,
+) -> int:
+    """Score predicted documents against gold documents, table by table.
+
+    Emits detection metrics (tables, rows, columns; split by layout type),
+    a cell classification report, text EM/CER metrics, year extraction
+    P/R/F1 and skew-angle statistics as CSV files under ``out_dir``.
+    """
+    grid_cfg = grid_cfg or GridConfig()
+    chrono_cfg = chrono_cfg or ChronoConfig()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    gold_files = {Path(p).name: p for p in _document_paths(gold_dir)}
+    pred_files = {Path(p).name: p for p in _document_paths(pred_dir)}
+    shared = sorted(set(gold_files) & set(pred_files))
+    if not shared:
+        log.error("no overlapping document files between %s and %s", pred_dir, gold_dir)
+        return EXIT_FATAL
+    missing = sorted(set(gold_files) - set(pred_files))
+    for name in missing:
+        log.warning("no prediction for %s", name)
+
+    det_counts: dict[tuple[str, str], ev.EvalCounts] = {}
+    confusion: Counter = Counter()
+    class_support: Counter = Counter()
+    text_pairs: list[tuple[str, str]] = []
+    years_pred_raw: dict[tuple[str, str], set[int]] = {}
+    years_pred_rule: dict[tuple[str, str], set[int]] = {}
+    years_gold: dict[tuple[str, str], set[int]] = {}
+    base_angles: dict[str, list[float]] = {"left": [], "middle": [], "right": []}
+    deskew_angles: dict[str, list[float]] = {"left": [], "middle": [], "right": []}
+    books_pages: dict[str, list[PageObservations]] = {}
+
+    def add_counts(kind: str, layout: str, counts: ev.EvalCounts) -> None:
+        for split in (layout, "all"):
+            key = (kind, split)
+            det_counts[key] = det_counts.get(key, ev.EvalCounts()) + counts
+
+    for name in shared:
+        try:
+            path = gold_files[name]
+            gold_doc = read_document(path)
+            path = pred_files[name]
+            pred_doc = read_document(path)
+        except (OSError, ValueError) as exc:
+            log.error("fatal: %s: %s", path, exc)
+            return EXIT_FATAL
+        layout = gold_doc.layout_type
+
+        gold_tables, _ = deskew_document(gold_doc)
+        pred_tables, (h_left, h_right) = deskew_document(pred_doc)
+
+        counts, _ = ev.match_detections(
+            [t.box for _, t in pred_tables], [t.box for _, t in gold_tables]
+        )
+        add_counts("tables", layout, counts)
+
+        pred_rows, pred_cols = _grid_boxes_reference(pred_tables, grid_cfg)
+        gold_rows, gold_cols = _grid_boxes_reference(gold_tables, grid_cfg)
+        row_counts, _ = ev.match_detections(pred_rows, gold_rows)
+        add_counts("rows", layout, row_counts)
+        col_counts, _ = ev.match_detections(pred_cols, gold_cols)
+        add_counts("columns", layout, col_counts)
+
+        pred_cells = [c for _, t in pred_tables for c in t.cells]
+        gold_cells = [c for _, t in gold_tables for c in t.cells]
+        _, pairing = ev.match_detections([c.box for c in pred_cells], [c.box for c in gold_cells])
+        for pi, gi, _score in pairing:
+            pred_class = dominant_class(pred_cells[pi].class_probs)
+            gold_class = dominant_class(gold_cells[gi].class_probs)
+            confusion[(gold_class, pred_class)] += 1
+            class_support[gold_class] += 1
+            gold_text = cell_text(gold_cells[gi])
+            if gold_text:
+                text_pairs.append((cell_text(pred_cells[pi]) or "", gold_text))
+
+        pred_pages = collect_years(pred_doc, chrono_cfg)
+        gold_pages = collect_years(gold_doc, chrono_cfg)
+        for by_side, target in ((pred_pages, years_pred_raw), (gold_pages, years_gold)):
+            for page in by_side.values():
+                target.setdefault((page.opening_id, page.side), set()).update(page.years())
+        books_pages.setdefault(pred_doc.book_id, []).extend(pred_pages.values())
+
+        if pred_doc.keypoints is not None:
+            kp = pred_doc.keypoints
+            base_angles["left"].append(edge_angle_from_vertical(kp.a, kp.d))
+            base_angles["middle"].append(edge_angle_from_vertical(kp.b, kp.e))
+            base_angles["right"].append(edge_angle_from_vertical(kp.c, kp.f))
+            deskew_angles["left"].append(
+                edge_angle_from_vertical(apply_point(h_left, kp.a), apply_point(h_left, kp.d))
+            )
+            deskew_angles["middle"].append(
+                edge_angle_from_vertical(apply_point(h_left, kp.b), apply_point(h_left, kp.e))
+            )
+            deskew_angles["right"].append(
+                edge_angle_from_vertical(apply_point(h_right, kp.c), apply_point(h_right, kp.f))
+            )
+
+    for book_id, pages in books_pages.items():
+        pages.sort(key=lambda p: (p.opening_id, p.side))
+        sequence = infer_sequence(pages, chrono_cfg)
+        resolved = [p.year for p in sequence.pages]
+        for i, (page, obs) in enumerate(zip(sequence.pages, pages)):
+            key = (page.opening_id, page.side)
+            if page.year is None:
+                years_pred_rule[key] = set()
+                continue
+            # a page may legitimately state the following year too (mid-page
+            # change); keep observations consistent with the resolved sequence
+            upper = page.year
+            if i + 1 < len(resolved) and resolved[i + 1] is not None:
+                upper = max(upper, resolved[i + 1])
+            kept = {y for y in obs.years() if page.year <= y <= upper}
+            years_pred_rule[key] = {page.year} | kept
+
+    r = ev.round_half_up
+
+    # --- detection metrics CSV
+    rows = []
+    for kind in ("tables", "rows", "columns"):
+        for split in ("preprinted", "handdrawn", "all"):
+            counts = det_counts.get((kind, split))
+            if counts is None or counts.tp + counts.fp + counts.fn == 0:
+                continue
+            row = ev.metrics(counts, category=f"{kind}/{split}")
+            rows.append(
+                (kind, split, r(row.accuracy), r(row.recall), r(row.precision), r(row.f1),
+                 counts.tp, counts.fp, counts.fn)
+            )
+    write_csv(
+        out / "detection_metrics.csv",
+        ("category", "layout", "accuracy", "recall", "precision", "f1", "tp", "fp", "fn"),
+        rows,
+    )
+
+    # --- cell classification report CSV
+    rows = []
+    class_rows = []
+    for label in _CLASS_LABELS:
+        support = class_support[label]
+        if support == 0:
+            continue
+        tp = confusion[(label, label)]
+        predicted = sum(confusion[(g, label)] for g in _CLASS_LABELS)
+        precision = 100.0 * tp / predicted if predicted else 0.0
+        recall = 100.0 * tp / support
+        class_rows.append(
+            ev.ClassRow(label, precision, recall, ev.f1_score(precision, recall), support)
+        )
+    if class_rows:
+        report = ev.class_report(class_rows)
+        for row in report.rows:
+            rows.append((row.label, r(row.precision), r(row.recall), r(row.f1), row.support))
+        total = report.total_support
+        correct = sum(confusion[(label, label)] for label in _CLASS_LABELS)
+        rows.append(("accuracy", "", "", r(100.0 * correct / total), total))
+        rows.append(
+            ("macro_avg", r(report.macro_precision), r(report.macro_recall),
+             r(report.macro_f1), total)
+        )
+        rows.append(
+            ("weighted_avg", r(report.weighted_precision), r(report.weighted_recall),
+             r(report.weighted_f1), total)
+        )
+    write_csv(
+        out / "cell_classification.csv", ("label", "precision", "recall", "f1", "support"), rows
+    )
+
+    # --- text metrics CSV ('?' references excluded, numeric/textual split)
+    write_csv(
+        out / "text_metrics.csv",
+        ("class", "exact_match", "cer", "avg_ref_length", "support"),
+        (
+            (row.label, r(row.exact_match), round(row.cer, 4), r(row.avg_ref_length), row.support)
+            for row in ev.split_metrics(ev.filter_unreadable(text_pairs))
+        ),
+    )
+
+    # --- year metrics CSV
+    rows = []
+    for method, pred in (("raw", years_pred_raw), ("rule_corrected", years_pred_rule)):
+        result = evaluate_years(pred, years_gold)
+        rows.append(
+            (method, r(result.precision), r(result.recall), r(result.f1), result.pages_scored)
+        )
+    write_csv(out / "year_metrics.csv", ("method", "precision", "recall", "f1", "pages"), rows)
+
+    # --- skew angle statistics CSV
+    rows = []
+    for stage, angles in (("base", base_angles), ("deskewed", deskew_angles)):
+        for edge in ("left", "middle", "right"):
+            values = angles[edge]
+            if not values:
+                continue
+            mean, sd = angle_stats(values)
+            rows.append((stage, edge, f"{mean:.6g}", f"{sd:.6g}", len(values)))
+    write_csv(out / "skew_angles.csv", ("stage", "edge", "mean_deg", "sd_deg", "n"), rows)
+
+    log.info("evaluation reports written to %s", out)
+    return EXIT_OK

@@ -22,12 +22,14 @@ from migrec.interchange import (
     TextHypothesis,
     ValidationError,
     YearDetection,
+    content_lines,
     dominant_class,
     normalize_class_probs,
     read_document,
     read_records,
     validate_document,
     write_document,
+    write_json,
     write_records,
 )
 from oracles import read_document_reference
@@ -336,6 +338,41 @@ def test_jsonl_invalid_record_names_its_line(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_records(str(path), format="jsonl")
     assert err.value.path == "line 3: record.flags"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ('{"year": ' + "9" * 5001 + "}", "invalid JSON (Exceeds the limit"),
+        ("[" * 200_000, "invalid JSON (maximum recursion depth exceeded"),
+    ],
+    ids=["too-many-digits", "nested-past-the-recursion-limit"],
+)
+def test_jsonl_line_json_cannot_decode_is_a_parse_error(tmp_path, bad, message):
+    path = tmp_path / "records.jsonl"
+    write_records([make_record(0)], str(path), format="jsonl")
+    path.write_text(path.read_text(encoding="utf-8") + bad + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format="jsonl")
+    assert err.value.path == "line 2"
+    assert err.value.message.startswith(message)
+
+
+def test_content_lines_skip_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "settings.tsv"
+    path.write_text("# header\n\nÅbo\tTurku\n   \n  # indented comment\n\tlead\r\n", encoding="utf-8")
+    assert list(content_lines(str(path))) == [(3, "Åbo\tTurku"), (6, "\tlead")]
+
+
+def test_write_json_is_indented_utf8_with_a_final_newline(tmp_path):
+    obj = {"parish": "Åbo", "counts": {"b": 2, "a": 1}, "failures": []}
+    path = tmp_path / "summary.json"
+    write_json(path, obj)
+    expected = (
+        '{\n  "parish": "Åbo",\n  "counts": {\n    "b": 2,\n    "a": 1\n  },\n'
+        '  "failures": []\n}\n'
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 # --- class distributions: validated once, same error paths --------------------

@@ -26,15 +26,26 @@ from migrec.cli import (
     main,
 )
 from migrec.geometry import transform_box
-from migrec.interchange import MigrationRecord, read_document, read_records, write_records
+from migrec.gridrec import GridConfig
+from migrec.interchange import (
+    MigrationRecord,
+    read_document,
+    read_records,
+    write_document,
+    write_records,
+)
 from migrec.normalize import Gazetteer, match_parish
 from migrec.pipeline import (
+    EVAL_REPORTS,
     PipelineOptions,
     deskew_document,
+    eval_reports,
     group_documents_by_book,
     process_book,
+    score_opening,
 )
 from migrec.synth import DEFAULT_SCHEMA, SynthConfig, generate_book, sample_gazetteer, write_corpus
+from oracles import cmd_eval_reference
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +271,8 @@ def test_years_builds_no_grids(corpus, tmp_path, monkeypatch):
 def broken_document(observed_dir, kind):
     if kind == "truncated-json":
         return b'{"kind": "document", "opening_id": "zz", "book_id": "book0000"\n'
+    if kind == "deep-header":  # nested past the recursion limit
+        return b"[" * 200_000 + b"\n"
     source = sorted(Path(observed_dir).glob("*.jsonl"))[0].read_bytes()
     if kind == "not-utf8":
         return b"\xff\xfe" + source
@@ -269,7 +282,7 @@ def broken_document(observed_dir, kind):
     return "\n".join([json.dumps(header)] + lines[1:]).encode("utf-8")
 
 
-@pytest.mark.parametrize("kind", ["truncated-json", "list-book-id", "not-utf8"])
+@pytest.mark.parametrize("kind", ["truncated-json", "list-book-id", "not-utf8", "deep-header"])
 def test_years_skips_a_malformed_document(corpus, tmp_path, caplog, kind):
     in_dir = tmp_path / "docs"
     shutil.copytree(corpus["paths"]["observed"], in_dir)
@@ -599,3 +612,118 @@ def test_process_book_with_mock_corrector(corpus):
     }
     for record in result.records:
         assert record.year == truth[(record.opening_id, record.page_side)]
+
+
+# --- eval: per-opening scores and one merge ---------------------------------
+
+NOISY = dict(
+    skew_degrees=(-3.0, 3.0),
+    cell_dropout_prob=0.1,
+    char_noise_prob=0.05,
+    year_corruption_prob=0.1,
+    border_jitter=2.0,
+)
+
+
+@pytest.fixture(scope="module")
+def eval_corpus(tmp_path_factory):
+    """Two noisy books, a handdrawn one, predicted cells of the wrong class, a
+    prediction without keypoints and a gold document without a prediction."""
+    books = [generate_book(SynthConfig(seed=s, **NOISY), 4) for s in (61, 62)]
+    books.append(generate_book(SynthConfig(seed=63, layout="handdrawn", **NOISY), 3))
+    paths = write_corpus(books, tmp_path_factory.mktemp("eval_corpus"))
+    observed = sorted(Path(paths["observed"]).glob("*.jsonl"))
+    doc = read_document(str(observed[0]))
+    table = doc.tables[0]
+    cells = [replace(c, class_probs=(0.0, 0.0, 1.0, 0.0)) if i % 4 == 0 and not c.lines else c
+             for i, c in enumerate(table.cells)]
+    tables = (replace(table, cells=tuple(cells)),) + doc.tables[1:]
+    write_document(replace(doc, tables=tables), str(observed[0]))
+    doc = read_document(str(observed[1]))
+    write_document(replace(doc, keypoints=None), str(observed[1]))
+    observed[2].unlink()
+    return paths
+
+
+def test_eval_reports_are_the_bytes_of_the_inline_reference(eval_corpus, tmp_path):
+    for run, out_dir in ((cmd_eval, tmp_path / "new"), (cmd_eval_reference, tmp_path / "ref")):
+        assert run(eval_corpus["observed"], eval_corpus["gold"], str(out_dir)) == EXIT_OK
+    for name in EVAL_REPORTS:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    detection = read_csv_rows(tmp_path / "new" / "detection_metrics.csv")
+    assert {row["layout"] for row in detection} == {"preprinted", "handdrawn", "all"}
+    skew = read_csv_rows(tmp_path / "new" / "skew_angles.csv")
+    # 10 openings scored, one prediction without keypoints
+    assert [int(row["n"]) for row in skew] == [9] * 6
+
+
+def test_score_opening_of_gold_against_itself_is_perfect(eval_corpus):
+    path = sorted(Path(eval_corpus["gold"]).glob("*.jsonl"))[0]
+    doc = read_document(str(path))
+    assert doc.keypoints is not None
+    score = score_opening(doc, doc, GridConfig(), ChronoConfig())
+    assert score.detections["tables"].tp == len(doc.tables)
+    for kind in ("tables", "rows", "columns"):
+        counts = score.detections[kind]
+        assert counts.tp > 0 and counts.fp == counts.fn == 0, kind
+    assert sum(score.confusion.values()) == sum(len(t.cells) for t in doc.tables)
+    assert all(gold == pred for gold, pred in score.confusion)
+    assert all(pred == gold for pred, gold in score.text_pairs)
+    assert [(stage, edge) for stage, edge, _ in score.angles] == [
+        (stage, edge) for edge in ("left", "middle", "right") for stage in ("base", "deskewed")
+    ]
+    assert score.pred_pages == score.gold_pages
+
+
+def test_eval_reports_of_no_openings():
+    reports = eval_reports([], ChronoConfig())
+    assert {name: header for name, (header, _) in reports.items()} == EVAL_REPORTS
+    assert reports["detection_metrics.csv"][1] == []
+    assert reports["cell_classification.csv"][1] == []
+    assert reports["skew_angles.csv"][1] == []
+    assert [row[0] for row in reports["text_metrics.csv"][1]] == ["textual", "numeric", "all"]
+    assert reports["year_metrics.csv"][1] == [
+        ("raw", 0.0, 0.0, 0.0, 0), ("rule_corrected", 0.0, 0.0, 0.0, 0)
+    ]
+
+
+def test_eval_rejects_two_documents_with_one_name(corpus, tmp_path, caplog):
+    gold_dir = tmp_path / "gold"
+    shutil.copytree(corpus["paths"]["gold"], gold_dir / "s1")
+    shutil.copytree(corpus["paths"]["gold"], gold_dir / "s2")
+    with caplog.at_level("ERROR", logger="migrec.cli"):
+        code = cmd_eval(corpus["paths"]["observed"], str(gold_dir), str(tmp_path / "eval"))
+    assert code == EXIT_FATAL
+    name = sorted(p.name for p in (gold_dir / "s1").glob("*.jsonl"))[0]
+    assert str(gold_dir / "s1" / name) in caplog.text
+    assert str(gold_dir / "s2" / name) in caplog.text
+
+
+def test_eval_has_detection_rows_for_every_layout(eval_corpus, tmp_path):
+    gold_dir = tmp_path / "gold"
+    shutil.copytree(eval_corpus["gold"], gold_dir)
+    for path, layout in zip(sorted(gold_dir.glob("*.jsonl")), ("half_table", "other")):
+        write_document(replace(read_document(str(path)), layout_type=layout), str(path))
+    out_dir = tmp_path / "eval"
+    assert cmd_eval(eval_corpus["observed"], str(gold_dir), str(out_dir)) == EXIT_OK
+    rows = read_csv_rows(out_dir / "detection_metrics.csv")
+    layouts = ["preprinted", "handdrawn", "half_table", "other", "all"]
+    for kind in ("tables", "rows", "columns"):
+        assert [row["layout"] for row in rows if row["category"] == kind] == layouts
+    by_layout = {row["layout"]: int(row["tp"]) + int(row["fn"]) for row in rows
+                 if row["category"] == "tables"}
+    assert by_layout["all"] == sum(n for layout, n in by_layout.items() if layout != "all")
+
+
+def test_eval_grid_failure_names_the_opening(corpus, tmp_path, caplog, monkeypatch):
+    def failing_grid(*args, **kwargs):
+        raise ValueError("no bands")
+
+    monkeypatch.setattr("migrec.pipeline.complete_grid_with_retry", failing_grid)
+    with caplog.at_level("WARNING", logger="migrec.pipeline"):
+        code = cmd_eval(corpus["paths"]["observed"], corpus["paths"]["gold"], str(tmp_path))
+    assert code == EXIT_OK
+    opening_id = read_document(sorted(Path(corpus["paths"]["gold"]).glob("*.jsonl"))[0]).opening_id
+    assert f"opening {opening_id}: grid reconstruction failed during eval: no bands" in caplog.text
+    rows = read_csv_rows(tmp_path / "detection_metrics.csv")
+    assert [row["category"] for row in rows] == ["tables", "tables"]

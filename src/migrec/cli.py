@@ -243,6 +243,8 @@ def cmd_eval(
         return EXIT_FATAL
     for name in sorted(set(gold_files) - set(pred_files)):
         log.warning("no prediction for %s", name)
+    for name in sorted(set(pred_files) - set(gold_files)):
+        log.warning("no gold document for %s", name)
 
     scores = []
     for name in shared:
@@ -450,19 +452,14 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps-row", dest="eps_row", default=None)
     parser.add_argument("--eps-col", dest="eps_col", default=None)
     parser.add_argument("--min-pts", dest="min_pts", type=int, default=None)
-    parser.add_argument(
-        "--merge-split-tables",
-        dest="merge_split_tables",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
 
 
-def _add_chrono_flags(parser: argparse.ArgumentParser) -> None:
+def _add_chrono_flags(parser: argparse.ArgumentParser, corrector: bool = True) -> None:
     parser.add_argument("--min-year", dest="min_year", type=int, default=None)
     parser.add_argument("--max-year", dest="max_year", type=int, default=None)
     parser.add_argument("--max-jump", dest="max_jump", type=int, default=None)
-    parser.add_argument("--corrector-endpoint", dest="corrector_endpoint", default=None)
+    if corrector:
+        parser.add_argument("--corrector-endpoint", dest="corrector_endpoint", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,6 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--book-directions", dest="book_directions", default=None)
     p.add_argument("--summary", dest="summary_path", default=None)
     _add_grid_flags(p)
+    p.add_argument(
+        "--merge-split-tables",
+        dest="merge_split_tables",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+    )
     _add_chrono_flags(p)
 
     p = sub.add_parser("eval", help="score predicted documents against gold documents")
@@ -492,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold_dir")
     p.add_argument("out_dir")
     _add_grid_flags(p)
-    _add_chrono_flags(p)
+    _add_chrono_flags(p, corrector=False)  # eval scores the rule-based DP alone
 
     p = sub.add_parser("synth", help="generate a synthetic fixture corpus")
     p.add_argument("out_dir")

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 LAYOUT_TYPES = ("handdrawn", "preprinted", "half_table", "free_text", "other")
@@ -441,8 +442,8 @@ def _text_obj(t: TextHypothesis) -> dict:
     return {"text": t.text, "confidence": t.confidence}
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
+# one encoder for every line: json.dumps with these options builds a new one per call
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(", ", ": ")).encode
 
 
 def write_document(doc: DetectionDocument, path: str) -> None:
@@ -527,13 +528,44 @@ def decode_json_line(raw: str, lineno: int):
         raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", f"line {lineno}") from exc
 
 
+def parse_header(obj) -> DetectionDocument:
+    """The decoded header line of a document as a validated document without
+    tables or year detections.
+
+    Raises :class:`ParseError` when ``obj`` is not a header object or lacks a
+    field, and :class:`ValidationError` for a bad value; each names its field.
+    """
+    if not isinstance(obj, dict) or obj.get("kind") != "document":
+        raise ParseError("expected the document header")
+    kp = None
+    if obj.get("keypoints") is not None:
+        kp_obj = obj["keypoints"]
+        if not isinstance(kp_obj, dict) or set(kp_obj) != set("abcdef"):
+            raise ParseError("keypoints must map exactly a..f", "keypoints")
+        kp = OpeningKeypoints(**{name: _parse_keypoint(kp_obj[name], name) for name in "abcdef"})
+    try:
+        header = DetectionDocument(
+            opening_id=obj["opening_id"],
+            book_id=obj["book_id"],
+            image_width=obj["image_width"],
+            image_height=obj["image_height"],
+            layout_type=obj["layout_type"],
+            keypoints=kp,
+        )
+    except KeyError as exc:
+        raise ParseError(f"missing document field {exc.args[0]!r}") from exc
+    _validate_header(header)
+    return header
+
+
 def read_document(path: str) -> DetectionDocument:
     """Parse and validate one document file in a single pass.
 
     Each line is decoded with ``json.loads`` and checked in full before the
-    next one is read: the header fields and keypoints, each table box, each
-    cell's box, class distribution, text and lines and its place in its
-    table (parsed on an earlier line), and each year detection.  The first
+    next one is read: the header (:func:`parse_header`), which must be the
+    first non-blank line, each table box, each cell's box, class
+    distribution, text and lines and its place in its table (parsed on an
+    earlier line), and each year detection.  The first
     bad line raises :class:`ParseError` for malformed syntax or structure
     (a file that is not UTF-8 included) or :class:`ValidationError` for a
     value that violates an invariant.  Both name the line and the field,
@@ -565,26 +597,7 @@ def read_document(path: str) -> DetectionDocument:
             if kind == "document":
                 if header is not None:
                     raise ParseError("duplicate document header")
-                kp = None
-                if obj.get("keypoints") is not None:
-                    kp_obj = obj["keypoints"]
-                    if not isinstance(kp_obj, dict) or set(kp_obj) != set("abcdef"):
-                        raise ParseError("keypoints must map exactly a..f", "keypoints")
-                    kp = OpeningKeypoints(
-                        **{name: _parse_keypoint(kp_obj[name], name) for name in "abcdef"}
-                    )
-                try:
-                    header = DetectionDocument(
-                        opening_id=obj["opening_id"],
-                        book_id=obj["book_id"],
-                        image_width=obj["image_width"],
-                        image_height=obj["image_height"],
-                        layout_type=obj["layout_type"],
-                        keypoints=kp,
-                    )
-                except KeyError as exc:
-                    raise ParseError(f"missing document field {exc.args[0]!r}") from exc
-                _validate_header(header)
+                header = parse_header(obj)
             elif kind == "table":
                 box = _parse_box(obj.get("box"))
                 validate_box(box, "box")
@@ -626,11 +639,11 @@ def read_document(path: str) -> DetectionDocument:
                 years.append(det)
             else:
                 raise ParseError(f"unknown line kind {kind!r}")
+            if header is None:
+                raise ParseError("the document header must be the first non-blank line")
         except InterchangeError as exc:
             raise exc.within(f"line {lineno}", ": ") from None
 
-    if header is None:
-        raise ParseError("missing document header line", "line 1")
     return replace(
         header,
         tables=tuple(TableDetection(box, tuple(cells)) for box, cells in tables),
@@ -639,42 +652,17 @@ def read_document(path: str) -> DetectionDocument:
 
 
 # ---------------------------------------------------------------------------
-# Record serialization
+# Record serialization: one key table and one record check for both formats
 # ---------------------------------------------------------------------------
 
-_RECORD_COLUMNS = (
-    "book_id",
-    "opening_id",
-    "page_side",
-    "year",
-    "direction",
-    "parish_raw",
-    "parish_canonical",
-    "flags",
-)
+# The JSONL keys in file order.  The CSV columns are the same keys without
+# ``fields``, whose labels follow as one ``field:<label>`` column each.
+_RECORD_KEYS = ("book_id", "opening_id", "page_side", "year", "direction", "fields",
+                "parish_raw", "parish_canonical", "flags")
+_RECORD_COLUMNS = tuple(key for key in _RECORD_KEYS if key != "fields")
 _FIELD_PREFIX = "field:"
-_JSONL_KEYS = (
-    "book_id",
-    "opening_id",
-    "page_side",
-    "year",
-    "direction",
-    "fields",
-    "parish_raw",
-    "parish_canonical",
-    "flags",
-)
-
-
-def _field_labels(records: Iterable[MigrationRecord]) -> list[str]:
-    labels: list[str] = []
-    seen = set()
-    for record in records:
-        for label in record.fields:
-            if label not in seen:
-                seen.add(label)
-                labels.append(label)
-    return labels
+_record_values = attrgetter(*_RECORD_KEYS)
+_csv_values = attrgetter(*_RECORD_COLUMNS[:-1])  # flags, the last column, are joined
 
 
 def content_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -706,39 +694,20 @@ def write_records(records: Sequence[MigrationRecord], path: str, format: str = "
     for i, record in enumerate(records):
         validate_record(record, f"records[{i}]")
     if format == "csv":
-        labels = _field_labels(records)
+        labels = list(dict.fromkeys(label for r in records for label in r.fields))  # first seen
         write_csv(
             path,
-            list(_RECORD_COLUMNS) + [_FIELD_PREFIX + l for l in labels],
+            [*_RECORD_COLUMNS, *(_FIELD_PREFIX + label for label in labels)],
             (
-                [
-                    record.book_id,
-                    record.opening_id,
-                    record.page_side,
-                    record.year,
-                    record.direction,
-                    record.parish_raw,
-                    record.parish_canonical,
-                    ";".join(sorted(record.flags)),
-                ]
-                + [record.fields.get(label, "") for label in labels]
-                for record in records
+                [*_csv_values(r), ";".join(sorted(r.flags)), *[r.fields.get(l, "") for l in labels]]
+                for r in records
             ),
         )
     elif format == "jsonl":
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             for record in records:
-                obj = {
-                    "book_id": record.book_id,
-                    "opening_id": record.opening_id,
-                    "page_side": record.page_side,
-                    "year": record.year,
-                    "direction": record.direction,
-                    "fields": dict(record.fields),
-                    "parish_raw": record.parish_raw,
-                    "parish_canonical": record.parish_canonical,
-                    "flags": sorted(record.flags),
-                }
+                obj = dict(zip(_RECORD_KEYS, _record_values(record)))
+                obj["flags"] = sorted(record.flags)
                 handle.write(_dump(obj) + "\n")
     else:
         raise ValueError(f"unknown record format {format!r}")
@@ -747,101 +716,113 @@ def write_records(records: Sequence[MigrationRecord], path: str, format: str = "
 def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
     """Parse a record file written by :func:`write_records`.
 
-    A malformed row raises :class:`ParseError` naming its line and field:
-    a CSV row must have exactly the header's cells (blank lines are
-    skipped), and a JSONL record every key :func:`write_records` writes.
-    Each record is validated as it is parsed, so an invalid value raises
-    :class:`ValidationError` at ``line N: record.<field>``.  A file that is
-    not UTF-8 raises :class:`ParseError` naming the line of its first bad
-    byte.
+    Each format only turns a line into a key -> value object; one check
+    then builds and validates the record, so both formats raise the same
+    errors.  A malformed row raises :class:`ParseError` naming its line and
+    field: a CSV row must have exactly the header's cells (blank lines are
+    skipped), and a JSONL record every key :func:`write_records` writes,
+    with string ids, parish names, field values and flags.  An invalid
+    value raises :class:`ValidationError` at ``line N: record.<field>``.  A
+    file that is not UTF-8 raises :class:`ParseError` naming the line of its
+    first bad byte.
     """
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown record format {format!r}")
+    objects = _csv_objects if format == "csv" else _jsonl_objects
+    records = []
     try:
-        return _read_csv_records(path) if format == "csv" else _read_jsonl_records(path)
+        with open(path, "r", encoding="utf-8", newline="" if format == "csv" else None) as handle:
+            for lineno, obj in objects(handle):
+                try:
+                    records.append(_record_from(obj))
+                except InterchangeError as exc:
+                    raise exc.within(f"line {lineno}", ": ") from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    return records
 
 
-def _read_csv_records(path: str) -> list[MigrationRecord]:
-    records: list[MigrationRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            head = next(reader)
-        except StopIteration:
-            raise ParseError("empty records file", "line 1") from None
-        if head[: len(_RECORD_COLUMNS)] != list(_RECORD_COLUMNS):
+def _csv_objects(handle) -> Iterator[tuple[int, dict]]:
+    """(line number, record object) of each row of a records CSV file."""
+    reader = csv.reader(handle)
+    try:
+        head = next(reader, None)
+        if head is None:
+            raise ParseError("empty records file", "line 1")
+        width = len(_RECORD_COLUMNS)
+        if head[:width] != list(_RECORD_COLUMNS):
             raise ParseError("unexpected CSV header", "line 1")
-        labels = [c[len(_FIELD_PREFIX) :] for c in head[len(_RECORD_COLUMNS) :]]
+        labels = [c[len(_FIELD_PREFIX) :] for c in head[width:]]
         for row in reader:
             if not row:
                 continue
             where = f"line {reader.line_num}"
-            if len(row) < len(head):
-                raise ParseError(
-                    f"row has {len(row)} cells, the header {len(head)}",
-                    f"{where}: {head[len(row)]}",
-                )
-            if len(row) > len(head):
-                raise ParseError(
-                    f"row has {len(row)} cells, the header {len(head)}",
-                    f"{where}: column {len(head) + 1}",
-                )
-            fixed, rest = row[: len(_RECORD_COLUMNS)], row[len(_RECORD_COLUMNS) :]
+            if len(row) != len(head):
+                column = head[len(row)] if len(row) < len(head) else f"column {len(head) + 1}"
+                raise ParseError(f"row has {len(row)} cells, the header {len(head)}",
+                                 f"{where}: {column}")
+            obj = dict(zip(_RECORD_COLUMNS, row))
+            year = obj["year"]
             try:
-                year = int(fixed[3]) if fixed[3] else None
+                obj["year"] = int(year) if year else None
             except ValueError:
-                raise ParseError(
-                    f"year must be an integer, not {fixed[3]!r}", f"{where}: year"
-                ) from None
-            record = MigrationRecord(
-                book_id=fixed[0],
-                opening_id=fixed[1],
-                page_side=fixed[2],
-                year=year,
-                direction=fixed[4],
-                parish_raw=fixed[5] or None,
-                parish_canonical=fixed[6] or None,
-                flags=frozenset(f for f in fixed[7].split(";") if f),
-                fields=dict(zip(labels, rest)),
-            )
-            validate_record(record, f"{where}: record")
-            records.append(record)
-    return records
+                raise ParseError(f"year must be an integer, not {year!r}", f"{where}: year") from None
+            obj["parish_raw"] = obj["parish_raw"] or None
+            obj["parish_canonical"] = obj["parish_canonical"] or None
+            obj["flags"] = [f for f in obj["flags"].split(";") if f]
+            obj["fields"] = dict(zip(labels, row[width:]))
+            yield reader.line_num, obj
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV ({exc})", f"line {reader.line_num}") from None
 
 
-def _read_jsonl_records(path: str) -> list[MigrationRecord]:
-    records: list[MigrationRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            where = f"line {lineno}"
+def _jsonl_objects(handle) -> Iterator[tuple[int, dict]]:
+    """(line number, record object) of each non-blank line of a records JSONL file."""
+    for lineno, raw in enumerate(handle, start=1):
+        if raw.strip():
             obj = decode_json_line(raw, lineno)
             if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", where)
-            for key in _JSONL_KEYS:
-                if key not in obj:
-                    raise ParseError("missing record field", f"{where}: {key}")
-            year = obj["year"]
-            if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
-                raise ParseError(f"year must be an integer or null, not {year!r}", f"{where}: year")
-            if not isinstance(obj["fields"], dict):
-                raise ParseError("fields must be an object", f"{where}: fields")
-            if not isinstance(obj["flags"], list):
-                raise ParseError("flags must be a list", f"{where}: flags")
-            record = MigrationRecord(
-                book_id=obj["book_id"],
-                opening_id=obj["opening_id"],
-                page_side=obj["page_side"],
-                year=year,
-                direction=obj["direction"],
-                fields=dict(obj["fields"]),
-                parish_raw=obj["parish_raw"],
-                parish_canonical=obj["parish_canonical"],
-                flags=frozenset(obj["flags"]),
-            )
-            validate_record(record, f"{where}: record")
-            records.append(record)
-    return records
+                raise ParseError("expected a JSON object", f"line {lineno}")
+            yield lineno, obj
+
+
+def _record_from(obj: dict) -> MigrationRecord:
+    """Check one record object of either format and build its validated record.
+
+    Error paths name the field (``year``, ``record.direction``); the caller
+    puts the line before them.
+    """
+    for key in _RECORD_KEYS:
+        if key not in obj:
+            raise ParseError("missing record field", key)
+    year, fields, flags = obj["year"], obj["fields"], obj["flags"]
+    if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
+        raise ParseError(f"year must be an integer or null, not {year!r}", "year")
+    if not isinstance(fields, dict):
+        raise ParseError("fields must be an object", "fields")
+    if not isinstance(flags, list):
+        raise ParseError("flags must be a list", "flags")
+    for key in ("book_id", "opening_id"):
+        if not isinstance(obj[key], str):
+            raise ParseError(f"{key} must be a string", key)
+    for key in ("parish_raw", "parish_canonical"):
+        if obj[key] is not None and not isinstance(obj[key], str):
+            raise ParseError(f"{key} must be a string or null", key)
+    for label, value in fields.items():
+        if not isinstance(value, str):
+            raise ParseError("field values must be strings", f"fields.{label}")
+    if not all(isinstance(flag, str) for flag in flags):
+        raise ParseError("flags must be strings", "flags")
+    record = MigrationRecord(
+        book_id=obj["book_id"],
+        opening_id=obj["opening_id"],
+        page_side=obj["page_side"],
+        year=year,
+        direction=obj["direction"],
+        fields=dict(fields),
+        parish_raw=obj["parish_raw"],
+        parish_canonical=obj["parish_canonical"],
+        flags=frozenset(flags),
+    )
+    validate_record(record)
+    return record

@@ -43,7 +43,7 @@ from .geometry import (
 from .gridrec import GridConfig, GridTable, complete_grid_with_retry, merge_split_tables
 from .interchange import (
     CELL_CLASSES, LAYOUT_TYPES, Box, CellHypothesis, CellLine, DetectionDocument, MigrationRecord,
-    TableDetection, decode_json_line, dominant_class, read_document,
+    TableDetection, decode_json_line, dominant_class, parse_header, read_document,
 )
 from .normalize import Gazetteer, MatchResult, match_parish
 
@@ -494,20 +494,19 @@ def process_book(
 
 
 def group_documents_by_book(paths: Sequence[str]) -> dict[str, list[str]]:
-    """Group document file paths by their book id (header line peek).
+    """Group document file paths by the book id of their header.
 
-    A file whose header cannot be read or has no string book id goes under
-    ``<unreadable>``; reading the document later reports what is wrong.
+    The header is a file's first non-blank line, read by the parser that
+    :func:`read_document` uses.  A file whose header cannot be read goes
+    under ``<unreadable>``; reading the document later reports what is wrong.
     """
     groups: dict[str, list[str]] = {}
     for path in paths:
-        book_id = None
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                obj = decode_json_line(handle.readline(), 1)
-            if isinstance(obj, dict) and isinstance(obj.get("book_id"), str):
-                book_id = obj["book_id"]
+                lineno, raw = next(((n, l) for n, l in enumerate(handle, 1) if l.strip()), (1, ""))
+            book_id = parse_header(decode_json_line(raw, lineno)).book_id
         except (OSError, ValueError):
-            book_id = None
-        groups.setdefault(book_id or "<unreadable>", []).append(str(path))
+            book_id = "<unreadable>"
+        groups.setdefault(book_id, []).append(str(path))
     return {book: sorted(files) for book, files in sorted(groups.items())}

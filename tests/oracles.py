@@ -7,13 +7,16 @@ box matching and exhaustive year-sequence search.  Keep them dumb.
 The per-box references and the document reader at the end keep the
 library's earlier, slower validation, projection, IoU and parsing code
 verbatim: the rewritten functions must give the same results and raise the
-same errors.  ``cmd_eval_reference`` keeps the eval command as it was when
+same errors; ``read_records_reference`` keeps the two record readers, one
+per format, as they were before one record check served both.
+``cmd_eval_reference`` keeps the eval command as it was when
 it scored every document inline, verbatim: the eval reports must stay the
 same bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import logging
@@ -37,6 +40,7 @@ from migrec.interchange import (
     CellHypothesis,
     CellLine,
     DetectionDocument,
+    MigrationRecord,
     OpeningKeypoints,
     ParseError,
     Point,
@@ -44,11 +48,14 @@ from migrec.interchange import (
     TextHypothesis,
     ValidationError,
     YearDetection,
+    _not_utf8,
+    decode_json_line,
     dominant_class,
     normalize_class_probs,
     read_document,
     validate_box,
     validate_keypoints,
+    validate_record,
     validate_text,
     write_csv,
 )
@@ -558,6 +565,140 @@ def read_document_reference(path):
     )
     _validate_document_reference(doc)
     return doc
+
+
+# --- record readers: one per format ------------------------------------------
+
+_RECORD_COLUMNS = (
+    "book_id",
+    "opening_id",
+    "page_side",
+    "year",
+    "direction",
+    "parish_raw",
+    "parish_canonical",
+    "flags",
+)
+_FIELD_PREFIX = "field:"
+_JSONL_KEYS = (
+    "book_id",
+    "opening_id",
+    "page_side",
+    "year",
+    "direction",
+    "fields",
+    "parish_raw",
+    "parish_canonical",
+    "flags",
+)
+
+
+def read_records_reference(path: str, format: str = "csv") -> list[MigrationRecord]:
+    """Parse a record file written by :func:`write_records`, one reader per format.
+
+    A JSONL record takes any JSON value for its ids, parish names, field
+    values and flags (an unhashable flag raises a bare ``TypeError``), and a
+    CSV field over the csv module's size limit raises a bare ``csv.Error``.
+    A malformed row raises :class:`ParseError` naming its line and field:
+    a CSV row must have exactly the header's cells (blank lines are
+    skipped), and a JSONL record every key :func:`write_records` writes.
+    Each record is validated as it is parsed, so an invalid value raises
+    :class:`ValidationError` at ``line N: record.<field>``.  A file that is
+    not UTF-8 raises :class:`ParseError` naming the line of its first bad
+    byte.
+    """
+    if format not in ("csv", "jsonl"):
+        raise ValueError(f"unknown record format {format!r}")
+    try:
+        if format == "csv":
+            return _read_csv_records_reference(path)
+        return _read_jsonl_records_reference(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _read_csv_records_reference(path: str) -> list[MigrationRecord]:
+    records: list[MigrationRecord] = []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            head = next(reader)
+        except StopIteration:
+            raise ParseError("empty records file", "line 1") from None
+        if head[: len(_RECORD_COLUMNS)] != list(_RECORD_COLUMNS):
+            raise ParseError("unexpected CSV header", "line 1")
+        labels = [c[len(_FIELD_PREFIX) :] for c in head[len(_RECORD_COLUMNS) :]]
+        for row in reader:
+            if not row:
+                continue
+            where = f"line {reader.line_num}"
+            if len(row) < len(head):
+                raise ParseError(
+                    f"row has {len(row)} cells, the header {len(head)}",
+                    f"{where}: {head[len(row)]}",
+                )
+            if len(row) > len(head):
+                raise ParseError(
+                    f"row has {len(row)} cells, the header {len(head)}",
+                    f"{where}: column {len(head) + 1}",
+                )
+            fixed, rest = row[: len(_RECORD_COLUMNS)], row[len(_RECORD_COLUMNS) :]
+            try:
+                year = int(fixed[3]) if fixed[3] else None
+            except ValueError:
+                raise ParseError(
+                    f"year must be an integer, not {fixed[3]!r}", f"{where}: year"
+                ) from None
+            record = MigrationRecord(
+                book_id=fixed[0],
+                opening_id=fixed[1],
+                page_side=fixed[2],
+                year=year,
+                direction=fixed[4],
+                parish_raw=fixed[5] or None,
+                parish_canonical=fixed[6] or None,
+                flags=frozenset(f for f in fixed[7].split(";") if f),
+                fields=dict(zip(labels, rest)),
+            )
+            validate_record(record, f"{where}: record")
+            records.append(record)
+    return records
+
+
+def _read_jsonl_records_reference(path: str) -> list[MigrationRecord]:
+    records: list[MigrationRecord] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            where = f"line {lineno}"
+            obj = decode_json_line(raw, lineno)
+            if not isinstance(obj, dict):
+                raise ParseError("expected a JSON object", where)
+            for key in _JSONL_KEYS:
+                if key not in obj:
+                    raise ParseError("missing record field", f"{where}: {key}")
+            year = obj["year"]
+            if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
+                raise ParseError(f"year must be an integer or null, not {year!r}", f"{where}: year")
+            if not isinstance(obj["fields"], dict):
+                raise ParseError("fields must be an object", f"{where}: fields")
+            if not isinstance(obj["flags"], list):
+                raise ParseError("flags must be a list", f"{where}: flags")
+            record = MigrationRecord(
+                book_id=obj["book_id"],
+                opening_id=obj["opening_id"],
+                page_side=obj["page_side"],
+                year=year,
+                direction=obj["direction"],
+                fields=dict(obj["fields"]),
+                parish_raw=obj["parish_raw"],
+                parish_canonical=obj["parish_canonical"],
+                flags=frozenset(obj["flags"]),
+            )
+            validate_record(record, f"{where}: record")
+            records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import random
 import re
@@ -32,7 +33,7 @@ from migrec.interchange import (
     write_json,
     write_records,
 )
-from oracles import read_document_reference
+from oracles import read_document_reference, read_records_reference
 
 
 def make_cell(x0, y0, x1, y1, probs=(1.0, 0.0, 0.0, 0.0), text="x"):
@@ -621,6 +622,17 @@ def test_every_single_field_mutation_reads_as_the_two_pass_reader(tmp_path):
     assert differences == {"read": 2, "ParseError": 2}
 
 
+def test_the_header_is_the_first_non_blank_line(tmp_path):
+    objs = document_lines(tmp_path)
+    path = tmp_path / "doc.jsonl"
+    path.write_text("\n \n" + "\n".join(json.dumps(o) for o in objs) + "\n", encoding="utf-8")
+    assert read_document(str(path)) == read_document(str(write_lines(tmp_path, objs)))
+    for moved in (objs[1:2] + objs[:1] + objs[2:], objs[1:] + objs[:1]):
+        with pytest.raises(ParseError) as err:
+            read_document(str(write_lines(tmp_path, moved)))
+        assert str(err.value) == "line 1: the document header must be the first non-blank line"
+
+
 def test_a_bool_table_index_is_a_parse_error_naming_the_line(tmp_path):
     objs = document_lines(tmp_path)
     objs.insert(2, {"kind": "table", "box": objs[1]["box"]})
@@ -682,3 +694,198 @@ def test_a_records_file_that_is_not_utf8_is_a_parse_error_naming_the_line(tmp_pa
         read_records(str(path), format=fmt)
     assert err.value.path == "line 3"
     assert err.value.message == "not UTF-8 text (invalid continuation byte, byte 0xe4)"
+
+
+# --- one record check for both formats: the same outcomes as the two readers ----
+
+
+def record_lines(tmp_path):
+    """The objects of a two-record JSONL file: one with a parish and flags,
+    one without a year or parish."""
+    records = [
+        make_record(0, flags=frozenset({"repetition_filled", "realigned"})),
+        make_record(1, year=None, parish_raw=None, parish_canonical=None, direction="out"),
+    ]
+    path = tmp_path / "source.jsonl"
+    write_records(records, str(path), format="jsonl")
+    return [json.loads(raw) for raw in path.read_text(encoding="utf-8").splitlines()]
+
+
+def records_outcome(reader, path, fmt):
+    try:
+        return ("read", repr(reader(str(path), format=fmt)))
+    except InterchangeError as exc:
+        return (type(exc).__name__, exc.message, exc.path)
+    except Exception as exc:  # the two readers raised some bare errors
+        return (type(exc).__name__, str(exc))
+
+
+def not_a_string(value):
+    return value is not DELETE and not isinstance(value, str)
+
+
+def newly_rejected(keys, value):
+    """The field a JSONL value is now rejected at, or None: the two readers
+    took any JSON value for ids, parish names, field values and flags."""
+    key = keys[0]
+    if key in ("book_id", "opening_id") and len(keys) == 1 and not_a_string(value):
+        return key
+    if key in ("parish_raw", "parish_canonical") and value is not None and not_a_string(value):
+        return key
+    if key == "fields" and len(keys) == 2 and not_a_string(value):
+        return f"fields.{keys[1]}"
+    if key == "fields" and len(keys) == 1 and isinstance(value, dict):
+        bad = [label for label, v in value.items() if not isinstance(v, str)]
+        return f"fields.{bad[0]}" if bad else None
+    if key == "flags" and len(keys) == 2 and not_a_string(value):
+        return "flags"
+    if key == "flags" and len(keys) == 1 and isinstance(value, list):
+        return "flags" if any(not isinstance(v, str) for v in value) else None
+    return None
+
+
+def test_every_single_field_jsonl_record_mutation_reads_as_the_two_readers(tmp_path):
+    objs = record_lines(tmp_path)
+    differences = Counter()
+    for line, obj in enumerate(objs):
+        for keys in field_paths(obj):
+            parent = obj
+            for key in keys[:-1]:
+                parent = parent[key]
+            values = MUTATION_VALUES + ("left", "in", "realigned", ["realigned"], ["bogus"])
+            for value in values + ((DELETE,) if isinstance(parent, dict) else ()):
+                path = write_lines(tmp_path, mutate(objs, line, keys, value), name="r.jsonl")
+                new = records_outcome(read_records, path, "jsonl")
+                ref = records_outcome(read_records_reference, path, "jsonl")
+                field = newly_rejected(keys, value)
+                if field is None:
+                    assert new == ref, (line, keys, value)
+                    continue
+                assert new[0] == "ParseError" and new[2] == f"line {line + 1}: {field}", (
+                    keys, value, new)
+                differences[ref[0]] += 1
+    # values the two readers took, non-string flags they named "unknown flags
+    # [5]", and unhashable flags they raised a bare TypeError for
+    assert differences == {"read": 292, "ValidationError": 32, "TypeError": 14}
+
+
+CSV_CELL_VALUES = (
+    "", "x", "0", "-1", "1.5", " 1880", "1880 ", "+1880", "1_880", "True", "9" * 5000,
+    "left", "right", "in", "out", "unknown", "realigned", "realigned;bogus", ";;",
+    "a,b", 'say "x"', "two\nlines", DELETE,
+)
+
+
+def test_every_single_cell_csv_record_mutation_reads_as_the_two_readers(tmp_path):
+    source = tmp_path / "source.csv"
+    records = [make_record(0, flags=frozenset({"realigned"})),
+               make_record(1, year=None, parish_raw=None, parish_canonical=None)]
+    write_records(records, str(source), format="csv")
+    with open(source, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    outcomes = Counter()
+    for r, row in enumerate(rows):
+        for c in range(len(row) + 1):
+            for value in CSV_CELL_VALUES:
+                mutated = copy.deepcopy(rows)
+                if c == len(row):
+                    if value is DELETE:
+                        continue
+                    mutated[r].append(value)  # a cell beyond the header
+                elif value is DELETE:
+                    del mutated[r][c]
+                else:
+                    mutated[r][c] = value
+                path = tmp_path / "r.csv"
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    csv.writer(handle, lineterminator="\n").writerows(mutated)
+                new = records_outcome(read_records, path, "csv")
+                assert new == records_outcome(read_records_reference, path, "csv"), (r, c, value)
+                outcomes[new[0]] += 1
+    assert outcomes["read"] and outcomes["ParseError"] and outcomes["ValidationError"]
+    assert set(outcomes) == {"read", "ParseError", "ValidationError"}
+
+
+@pytest.mark.parametrize(
+    "keys, value, where",
+    [
+        (("book_id",), 7, "line 1: book_id"),
+        (("opening_id",), None, "line 1: opening_id"),
+        (("parish_raw",), 3, "line 1: parish_raw"),
+        (("fields", "name"), 5, "line 1: fields.name"),
+        (("flags",), [["realigned"]], "line 1: flags"),
+        (("flags",), [1], "line 1: flags"),
+    ],
+    ids=["int-book-id", "null-opening-id", "int-parish", "int-field-value", "list-flag",
+         "int-flag"],
+)
+def test_jsonl_non_string_values_are_parse_errors_naming_the_field(tmp_path, keys, value, where):
+    objs = record_lines(tmp_path)
+    path = write_lines(tmp_path, mutate(objs, 0, keys, value), name="r.jsonl")
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format="jsonl")
+    assert err.value.path == where
+
+
+def test_a_csv_cell_past_the_size_limit_is_a_parse_error_naming_the_line(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records([make_record(0), make_record(1, fields={"name": "x" * 200_000})],
+                  str(path), format="csv")
+    with pytest.raises(ParseError) as err:
+        read_records(str(path), format="csv")
+    assert err.value.path == "line 3"
+    assert err.value.message.startswith("invalid CSV (field larger than field limit")
+
+
+FUZZ_CHARS = ',;"\n\r\\{}[]:0123456789 -.abe_' + "\x00\x85 "
+FUZZ_VALUES = MUTATION_VALUES + (
+    "left", "in", "realigned", ["realigned", "realigned"], {"x": "1"}, [[1]], {"a": None},
+)
+
+
+def fuzz_text(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        action = rng.random()
+        if action < 0.4 and i < len(chars):
+            del chars[i]
+        elif action < 0.7 and i < len(chars):
+            chars[i] = rng.choice(FUZZ_CHARS)
+        else:
+            chars.insert(i, rng.choice(FUZZ_CHARS))
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_mutated_record_files_read_or_raise_interchange_errors(tmp_path, fmt):
+    rng = random.Random(20261018 + len(fmt))
+    source = tmp_path / f"source.{fmt}"
+    write_records([make_record(i) for i in range(3)], str(source), format=fmt)
+    text = source.read_text(encoding="utf-8")
+    objs = record_lines(tmp_path)
+    fields = [(i, keys) for i, obj in enumerate(objs) for keys in field_paths(obj)]
+    outcomes = Counter()
+    for n in range(1500):
+        path = tmp_path / f"m{n % 8}.{fmt}"
+        if fmt == "jsonl" and rng.random() < 0.5:
+            mutated = objs
+            for _ in range(rng.randint(1, 3)):
+                line, keys = rng.choice(fields)
+                try:
+                    mutated = mutate(mutated, line, keys, rng.choice(FUZZ_VALUES))
+                except (KeyError, IndexError, TypeError):
+                    pass  # an earlier mutation removed the path
+            write_lines(tmp_path, mutated, name=path.name)
+        else:
+            path.write_text(fuzz_text(rng, text), encoding="utf-8", newline="")
+        try:
+            records = read_records(str(path), format=fmt)
+        except InterchangeError as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        outcomes["read"] += 1
+        # whatever reads writes back and reads again as the same records
+        write_records(records, str(tmp_path / f"again.{fmt}"), format=fmt)
+        assert read_records(str(tmp_path / f"again.{fmt}"), format=fmt) == records
+    assert outcomes["read"] and outcomes["ParseError"] and outcomes["ValidationError"]

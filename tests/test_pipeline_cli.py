@@ -16,6 +16,7 @@ from migrec.cli import (
     EXIT_PARTIAL,
     _load_book_directions,
     _setting,
+    build_parser,
     cmd_aggregate,
     cmd_eval,
     cmd_extract,
@@ -277,12 +278,16 @@ def broken_document(observed_dir, kind):
     if kind == "not-utf8":
         return b"\xff\xfe" + source
     lines = source.decode("utf-8").split("\n")
+    if kind == "header-second":
+        return "\n".join([lines[1], lines[0]] + lines[2:]).encode("utf-8")
     header = json.loads(lines[0])
     header["book_id"] = ["x"]
     return "\n".join([json.dumps(header)] + lines[1:]).encode("utf-8")
 
 
-@pytest.mark.parametrize("kind", ["truncated-json", "list-book-id", "not-utf8", "deep-header"])
+@pytest.mark.parametrize(
+    "kind", ["truncated-json", "list-book-id", "not-utf8", "deep-header", "header-second"]
+)
 def test_years_skips_a_malformed_document(corpus, tmp_path, caplog, kind):
     in_dir = tmp_path / "docs"
     shutil.copytree(corpus["paths"]["observed"], in_dir)
@@ -298,6 +303,23 @@ def test_years_skips_a_malformed_document(corpus, tmp_path, caplog, kind):
     assert out_path.read_bytes() == expected.read_bytes()
     # extract skips the same document
     assert main(["extract", str(in_dir), str(tmp_path / "records.csv")]) == EXIT_PARTIAL
+
+
+def test_a_leading_blank_line_keeps_a_document_in_its_book(corpus, tmp_path):
+    in_dir = tmp_path / "docs"
+    shutil.copytree(corpus["paths"]["observed"], in_dir)
+    outputs = []
+    for name in ("plain", "blank"):
+        if name == "blank":
+            first = sorted(in_dir.glob("*.jsonl"))[0]
+            first.write_text("\n" + first.read_text(encoding="utf-8"), encoding="utf-8")
+        years, records = tmp_path / f"{name}_years.csv", tmp_path / f"{name}_records.csv"
+        assert cmd_years(str(in_dir), str(years), ChronoConfig()) == EXIT_OK
+        options = standard_options(corpus["paths"])
+        assert cmd_extract(str(in_dir), str(records), options, workers=1) == EXIT_OK
+        outputs.append((years.read_bytes(), records.read_bytes()))
+    assert outputs[1] == outputs[0]
+    assert b"<unreadable>" not in outputs[1][0]
 
 
 def test_eval_fatal_error_names_the_file(corpus, tmp_path, caplog):
@@ -727,3 +749,78 @@ def test_eval_grid_failure_names_the_opening(corpus, tmp_path, caplog, monkeypat
     assert f"opening {opening_id}: grid reconstruction failed during eval: no bands" in caplog.text
     rows = read_csv_rows(tmp_path / "detection_metrics.csv")
     assert [row["category"] for row in rows] == ["tables", "tables"]
+
+
+def test_eval_warns_of_a_prediction_without_gold(corpus, tmp_path, caplog):
+    pred_dir = tmp_path / "pred"
+    shutil.copytree(corpus["paths"]["gold"], pred_dir)
+    shutil.copy(sorted(pred_dir.glob("*.jsonl"))[0], pred_dir / "zz_extra.jsonl")
+    with caplog.at_level("WARNING", logger="migrec.cli"):
+        assert cmd_eval(str(pred_dir), corpus["paths"]["gold"], str(tmp_path / "eval")) == EXIT_OK
+    assert "no gold document for zz_extra.jsonl" in caplog.text
+    assert "no prediction" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--merge-split-tables"], ["--no-merge-split-tables"], ["--corrector-endpoint", "http://x"]],
+    ids=["merge", "no-merge", "corrector"],
+)
+def test_eval_rejects_flags_it_does_not_use(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["eval", "pred", "gold", "out", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    args = build_parser().parse_args(["extract", "in", "out.csv", *flag])
+    assert args.merge_split_tables is not None or args.corrector_endpoint == "http://x"
+
+
+# a book id and a parish that need every kind of CSV quoting
+AWKWARD_BOOK = 'Elimäki, "kirja"\n3'
+AWKWARD_PARISH = 'Pyhäjärvi, "Ol"\nläänin'
+
+
+def csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def test_csv_outputs_read_back_as_the_rows_written(tmp_path):
+    book = generate_book(SynthConfig(seed=5), 2, book_id=AWKWARD_BOOK)
+    paths = write_corpus([book], tmp_path / "corpus")
+    pages = sorted(book.page_years)
+    assert csv_rows(paths["years"]) == [["opening_id", "side", "year"]] + [
+        [opening, side, str(year)] for opening, side, year in book.page_years
+    ]
+
+    years = tmp_path / "years.csv"
+    assert cmd_years(paths["observed"], str(years), ChronoConfig()) == EXIT_OK
+    assert csv_rows(years) == [["book_id", "opening_id", "side", "year", "source"]] + [
+        [AWKWARD_BOOK, opening, side, str(year), "observed"] for opening, side, year in pages
+    ]
+
+    extracted = tmp_path / "extracted.csv"
+    assert cmd_extract(paths["observed"], str(extracted), standard_options(paths), workers=1) == 0
+    gold = [r for fixture in book.openings for r in fixture.gold_records]
+    assert [row[0] for row in csv_rows(extracted)[1:]] == [AWKWARD_BOOK] * len(gold)
+
+    records = [replace(r, parish_raw=AWKWARD_PARISH, parish_canonical=AWKWARD_PARISH) for r in gold]
+    path = tmp_path / "records.csv"
+    write_records(records, str(path), format="csv")
+    labels = list(records[0].fields)
+    assert csv_rows(path) == [
+        ["book_id", "opening_id", "page_side", "year", "direction", "parish_raw",
+         "parish_canonical", "flags"] + [f"field:{label}" for label in labels]
+    ] + [
+        [r.book_id, r.opening_id, r.page_side, str(r.year), r.direction, AWKWARD_PARISH,
+         AWKWARD_PARISH, ";".join(sorted(r.flags))] + [r.fields[label] for label in labels]
+        for r in records
+    ]
+    assert read_records(str(path), format="csv") == records
+
+    write_records(records, str(tmp_path / "records.jsonl"), format="jsonl")
+    assert cmd_aggregate(str(tmp_path / "records.jsonl"), str(tmp_path / "agg")) == EXIT_OK
+    directions = Counter(r.direction for r in records)
+    assert csv_rows(tmp_path / "agg" / "aggregate_parishes.csv") == [
+        ["parish", "direction", "count"]
+    ] + [[AWKWARD_PARISH, d, str(directions[d])] for d in ("in", "out")]

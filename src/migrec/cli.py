@@ -17,12 +17,12 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace as dc_replace
+from dataclasses import fields, replace as dc_replace
 from pathlib import Path
 
 from .cells import read_schema_file
 from .chrono import ChronoConfig, HttpCorrectorClient
-from .gridrec import GridConfig
+from .gridrec import GridConfig, parse_eps
 from .interchange import (
     content_lines,
     read_document,
@@ -31,7 +31,8 @@ from .interchange import (
     write_json,
     write_records,
 )
-from .normalize import Gazetteer, detect_duplicate_books, filter_usable
+from .normalize import DUPLICATE_JACCARD_THRESHOLD, MAX_REL_DIST, Gazetteer
+from .normalize import detect_duplicate_books, filter_usable
 from .pipeline import (
     DIRECTION_MODES,
     EVAL_REPORTS,
@@ -56,58 +57,70 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Plain key = value configuration; '#' comments and blank lines ignored."""
-    values: dict[str, str] = {}
-    for lineno, line in content_lines(path):
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
 }
 
 
-def _setting(args: argparse.Namespace, config: dict[str, str], key: str, default, cast):
-    """Flag value if given, else config file value, else the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            if raw.lower() not in _BOOLEANS:
-                raise ValueError(
-                    f"config key {key}: expected one of {', '.join(_BOOLEANS)}, not {raw!r}"
-                )
-            return _BOOLEANS[raw.lower()]
-        return cast(raw)
-    return default
+def _config_value(action: argparse.Action, raw: str):
+    """A config file value, cast as the option's flag value is cast."""
+    key = action.dest
+    if isinstance(action, argparse.BooleanOptionalAction):
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(
+                f"config key {key}: expected one of {', '.join(_BOOLEANS)}, not {raw!r}"
+            )
+        return _BOOLEANS[raw.lower()]
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError:
+        raise ValueError(f"config key {key}: invalid {action.type.__name__} value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"config key {key}: expected one of {', '.join(action.choices)}, not {raw!r}"
+        )
+    return value
 
 
-def _grid_config(args, config) -> GridConfig:
-    def eps(value):
-        return value if value == "auto" else float(value)
+def _apply_config(args: argparse.Namespace, path: str, parser: argparse.ArgumentParser) -> None:
+    """Set from a config file each option of the running subcommand that no flag set.
 
-    return GridConfig(
-        eps_row=_setting(args, config, "eps_row", "auto", eps),
-        eps_col=_setting(args, config, "eps_col", "auto", eps),
-        min_pts=_setting(args, config, "min_pts", 2, int),
-        center_line_merge=_setting(args, config, "merge_split_tables", True, bool),
-    )
+    The file holds ``key = value`` lines ('#' comments and blank lines are
+    ignored).  A key is the ``dest`` of an option without a default on any
+    subcommand, so one file serves several commands.
+    """
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    settable = {
+        name: {a.dest: a for a in sub._actions if a.option_strings and a.default is None}
+        for name, sub in commands.choices.items()
+    }
+    own = settable[args.command]
+    unset = {dest for dest in own if getattr(args, dest) is None}
+    for lineno, line in content_lines(path):
+        key, eq, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        if not any(key in options for options in settable.values()):
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in unset:
+            try:
+                setattr(args, key, _config_value(own[key], raw.strip()))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
-def _chrono_config(args, config) -> ChronoConfig:
-    return ChronoConfig(
-        min_year=_setting(args, config, "min_year", 1700, int),
-        max_year=_setting(args, config, "max_year", 1930, int),
-        max_jump=_setting(args, config, "max_jump", 5, int),
-    )
+def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
+    """Keyword arguments of the options that a flag or the config file set,
+    each under its own name or, in ``renamed``, under the keyword mapped to it."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {kw: getattr(args, dest) for kw, dest in pairs if getattr(args, dest) is not None}
+
+
+def _settings(cls, args: argparse.Namespace):
+    """A settings dataclass from the set options named after its fields."""
+    return cls(**_given(args, *(f.name for f in fields(cls))))
 
 
 def _load_schemas(schema_dir: str | None) -> dict:
@@ -213,8 +226,8 @@ def cmd_eval(
     pred_dir: str,
     gold_dir: str,
     out_dir: str,
-    grid_cfg: GridConfig | None = None,
-    chrono_cfg: ChronoConfig | None = None,
+    grid_cfg: GridConfig = GridConfig(),
+    chrono_cfg: ChronoConfig = ChronoConfig(),
 ) -> int:
     """Score predicted documents against the gold documents of the same file name.
 
@@ -223,8 +236,6 @@ def cmd_eval(
     as CSV files under ``out_dir``.  Two documents of one name under the same
     directory are a fatal error.
     """
-    grid_cfg = grid_cfg or GridConfig()
-    chrono_cfg = chrono_cfg or ChronoConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -311,8 +322,8 @@ def cmd_normalize(
     records_path: str,
     out_path: str,
     gazetteer_path: str,
-    max_rel_dist: float = 0.25,
-    dup_threshold: float = 0.9,
+    max_rel_dist: float = MAX_REL_DIST,
+    dup_threshold: float = DUPLICATE_JACCARD_THRESHOLD,
     drop_duplicates: bool = True,
     usable_only: bool = False,
     report_path: str | None = None,
@@ -449,17 +460,17 @@ def cmd_report(eval_dir: str, stream=None) -> int:
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps-row", dest="eps_row", default=None)
-    parser.add_argument("--eps-col", dest="eps_col", default=None)
-    parser.add_argument("--min-pts", dest="min_pts", type=int, default=None)
+    parser.add_argument("--eps-row", type=parse_eps)
+    parser.add_argument("--eps-col", type=parse_eps)
+    parser.add_argument("--min-pts", type=int)
 
 
 def _add_chrono_flags(parser: argparse.ArgumentParser, corrector: bool = True) -> None:
-    parser.add_argument("--min-year", dest="min_year", type=int, default=None)
-    parser.add_argument("--max-year", dest="max_year", type=int, default=None)
-    parser.add_argument("--max-jump", dest="max_jump", type=int, default=None)
+    parser.add_argument("--min-year", type=int)
+    parser.add_argument("--max-year", type=int)
+    parser.add_argument("--max-jump", type=int)
     if corrector:
-        parser.add_argument("--corrector-endpoint", dest="corrector_endpoint", default=None)
+        parser.add_argument("--corrector-endpoint")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,27 +478,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="migrec",
         description="Reconstruct structured migration records from detection documents.",
     )
-    parser.add_argument("--config", default=None, help="key = value configuration file")
+    parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="run the extraction pipeline over a document directory")
     p.add_argument("in_dir")
     p.add_argument("out_path")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "jsonl"), default=None)
-    p.add_argument("--schema-dir", dest="schema_dir", default=None)
-    p.add_argument("--gazetteer", default=None)
-    p.add_argument("--max-rel-dist", dest="max_rel_dist", type=float, default=None)
-    p.add_argument("--book-directions", dest="book_directions", default=None)
-    p.add_argument("--summary", dest="summary_path", default=None)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--format", choices=("csv", "jsonl"))
+    p.add_argument("--schema-dir")
+    p.add_argument("--gazetteer")
+    p.add_argument("--max-rel-dist", type=float)
+    p.add_argument("--book-directions")
+    p.add_argument("--summary", dest="summary_path")
     _add_grid_flags(p)
-    p.add_argument(
-        "--merge-split-tables",
-        dest="merge_split_tables",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
+    p.add_argument("--merge-split-tables", action=argparse.BooleanOptionalAction)
     _add_chrono_flags(p)
 
     p = sub.add_parser("eval", help="score predicted documents against gold documents")
@@ -521,21 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("records_path")
     p.add_argument("out_path")
     p.add_argument("--gazetteer", required=True)
-    p.add_argument("--max-rel-dist", dest="max_rel_dist", type=float, default=None)
-    p.add_argument("--dup-threshold", dest="dup_threshold", type=float, default=None)
-    p.add_argument(
-        "--drop-duplicates",
-        dest="drop_duplicates",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-    )
-    p.add_argument("--usable-only", dest="usable_only", action="store_true")
-    p.add_argument("--report", dest="report_path", default=None)
+    p.add_argument("--max-rel-dist", type=float)
+    p.add_argument("--dup-threshold", type=float)
+    p.add_argument("--drop-duplicates", action=argparse.BooleanOptionalAction)
+    p.add_argument("--usable-only", action="store_true")
+    p.add_argument("--report", dest="report_path")
 
     p = sub.add_parser("aggregate", help="per-year and per-parish counts from a records file")
     p.add_argument("records_path")
     p.add_argument("out_dir")
-    p.add_argument("--parish", default=None)
+    p.add_argument("--parish")
 
     p = sub.add_parser("report", help="render eval CSV reports as text tables")
     p.add_argument("eval_dir")
@@ -543,50 +544,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    config = _read_config_file(args.config) if args.config else {}
-
-    endpoint = _setting(args, config, "corrector_endpoint", None, str)
-    corrector = HttpCorrectorClient(endpoint) if endpoint else None
-
     try:
+        if args.config:
+            _apply_config(args, args.config, parser)
+        endpoint = getattr(args, "corrector_endpoint", None)  # extract and years only
+        corrector = HttpCorrectorClient(endpoint) if endpoint else None
         if args.command == "extract":
             options = PipelineOptions(
-                grid=_grid_config(args, config),
-                chrono=_chrono_config(args, config),
-                schemas=_load_schemas(_setting(args, config, "schema_dir", None, str)),
-                gazetteer=(
-                    Gazetteer.from_file(g)
-                    if (g := _setting(args, config, "gazetteer", None, str))
-                    else None
-                ),
-                max_rel_dist=_setting(args, config, "max_rel_dist", 0.25, float),
-                book_directions=_load_book_directions(
-                    _setting(args, config, "book_directions", None, str)
-                ),
+                grid=_settings(GridConfig, args),
+                chrono=_settings(ChronoConfig, args),
+                schemas=_load_schemas(args.schema_dir),
+                gazetteer=Gazetteer.from_file(args.gazetteer) if args.gazetteer else None,
+                book_directions=_load_book_directions(args.book_directions),
                 corrector=corrector,
+                **_given(args, "max_rel_dist", "merge_split_tables"),
             )
-            workers = _setting(args, config, "workers", os.cpu_count() or 1, int)
-            fmt = _setting(args, config, "format", "csv", str)
+            workers = (os.cpu_count() or 1) if args.workers is None else args.workers
             return cmd_extract(
-                args.in_dir,
-                args.out_path,
-                options,
-                workers=workers,
-                records_format=fmt,
-                summary_path=args.summary_path,
+                args.in_dir, args.out_path, options, workers=workers,
+                summary_path=args.summary_path, **_given(args, records_format="format"),
             )
         if args.command == "eval":
             return cmd_eval(
-                args.pred_dir,
-                args.gold_dir,
-                args.out_dir,
-                grid_cfg=_grid_config(args, config),
-                chrono_cfg=_chrono_config(args, config),
+                args.pred_dir, args.gold_dir, args.out_dir,
+                grid_cfg=_settings(GridConfig, args), chrono_cfg=_settings(ChronoConfig, args),
             )
         if args.command == "synth":
             cfg = SynthConfig(
@@ -609,18 +596,13 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.command == "years":
             return cmd_years(
-                args.in_dir, args.out_path, _chrono_config(args, config), corrector=corrector
+                args.in_dir, args.out_path, _settings(ChronoConfig, args), corrector=corrector
             )
         if args.command == "normalize":
             return cmd_normalize(
-                args.records_path,
-                args.out_path,
-                args.gazetteer,
-                max_rel_dist=_setting(args, config, "max_rel_dist", 0.25, float),
-                dup_threshold=_setting(args, config, "dup_threshold", 0.9, float),
-                drop_duplicates=args.drop_duplicates,
-                usable_only=args.usable_only,
-                report_path=args.report_path,
+                args.records_path, args.out_path, args.gazetteer,
+                usable_only=args.usable_only, report_path=args.report_path,
+                **_given(args, "max_rel_dist", "dup_threshold", "drop_duplicates"),
             )
         if args.command == "aggregate":
             return cmd_aggregate(args.records_path, args.out_dir, parish=args.parish)

@@ -45,21 +45,28 @@ class BandPairingError(GridError):
         )
 
 
+AUTO_EPS = "auto"
+
+
+def parse_eps(text: str) -> float | str:
+    """An eps setting written as text: ``auto`` or a number."""
+    return text if text == AUTO_EPS else float(text)
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Clustering parameters; ``auto`` ties eps to the detected cell scale."""
 
-    eps_row: float | str = "auto"
-    eps_col: float | str = "auto"
+    eps_row: float | str = AUTO_EPS
+    eps_col: float | str = AUTO_EPS
     min_pts: int = 2
-    center_line_merge: bool = True
 
     def __post_init__(self) -> None:
         for name in ("eps_row", "eps_col"):
             value = getattr(self, name)
             if isinstance(value, str):
-                if value != "auto":
-                    raise ValueError(f"{name} must be a positive number or 'auto'")
+                if value != AUTO_EPS:
+                    raise ValueError(f"{name} must be a positive number or {AUTO_EPS!r}")
             elif value <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.min_pts < 1:
@@ -352,7 +359,6 @@ def complete_grid_with_retry(
             eps_row=resolve_eps(cfg.eps_row, boxes, "row") * eps_factor,
             eps_col=resolve_eps(cfg.eps_col, boxes, "col") * eps_factor,
             min_pts=cfg.min_pts,
-            center_line_merge=cfg.center_line_merge,
         )
         log.warning("band pairing failed (%s); retrying with eps x %.2f", exc, eps_factor)
         return complete_grid(table_box, cells, relaxed)

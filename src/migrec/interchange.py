@@ -752,6 +752,9 @@ def _csv_objects(handle) -> Iterator[tuple[int, dict]]:
         width = len(_RECORD_COLUMNS)
         if head[:width] != list(_RECORD_COLUMNS):
             raise ParseError("unexpected CSV header", "line 1")
+        for column in head[width:]:
+            if not column.startswith(_FIELD_PREFIX) or head.count(column) > 1:
+                raise ParseError("not a field:<label> column of a new label", f"line 1: {column}")
         labels = [c[len(_FIELD_PREFIX) :] for c in head[width:]]
         for row in reader:
             if not row:

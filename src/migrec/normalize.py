@@ -19,6 +19,8 @@ from .interchange import MigrationRecord, content_lines
 REJECTION_REASONS = ("missing_direction", "missing_year", "missing_parish", "unmatched_parish")
 
 DUPLICATE_JACCARD_THRESHOLD = 0.9
+# A fuzzy parish match is kept up to this edit distance per character.
+MAX_REL_DIST = 0.25
 
 
 class GazetteerError(ValueError):
@@ -126,7 +128,7 @@ def _expand_abbreviation(folded: str, gazetteer: Gazetteer) -> str | None:
     return None
 
 
-def match_parish(raw: str, gazetteer: Gazetteer, max_rel_dist: float = 0.25) -> MatchResult:
+def match_parish(raw: str, gazetteer: Gazetteer, max_rel_dist: float = MAX_REL_DIST) -> MatchResult:
     """Match a recognized parish name against the gazetteer.
 
     Exact and known-variant hits score 1.  Otherwise the minimal edit

@@ -45,7 +45,7 @@ from .interchange import (
     CELL_CLASSES, LAYOUT_TYPES, Box, CellHypothesis, CellLine, DetectionDocument, MigrationRecord,
     TableDetection, decode_json_line, dominant_class, parse_header, read_document,
 )
-from .normalize import Gazetteer, MatchResult, match_parish
+from .normalize import MAX_REL_DIST, Gazetteer, MatchResult, match_parish
 
 log = logging.getLogger(__name__)
 
@@ -58,9 +58,10 @@ class PipelineOptions:
     chrono: ChronoConfig = ChronoConfig()
     schemas: dict[str, ColumnSchema] = field(default_factory=dict)
     gazetteer: Gazetteer | None = None
-    max_rel_dist: float = 0.25
+    max_rel_dist: float = MAX_REL_DIST
     book_directions: dict[str, str] = field(default_factory=dict)
     corrector: CorrectorClient | None = None
+    merge_split_tables: bool = True
 
     def direction_mode(self, book_id: str) -> str:
         mode = self.book_directions.get(book_id, "mixed")
@@ -193,7 +194,7 @@ def process_opening(doc: DetectionDocument, options: PipelineOptions) -> Opening
         plain.append(grid)
         stats["tables"] += 1
 
-    if options.grid.center_line_merge and len(plain) > 1:
+    if options.merge_split_tables and len(plain) > 1:
         merged_list = merge_split_tables(plain, center_x, options.grid)
     else:
         merged_list = plain

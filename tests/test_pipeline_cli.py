@@ -1,7 +1,7 @@
+import argparse
 import csv
 import json
 import shutil
-from argparse import Namespace
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -14,8 +14,8 @@ from migrec.cli import (
     EXIT_FATAL,
     EXIT_OK,
     EXIT_PARTIAL,
+    _config_value,
     _load_book_directions,
-    _setting,
     build_parser,
     cmd_aggregate,
     cmd_eval,
@@ -522,12 +522,14 @@ def test_main_config_file_defaults(tmp_path):
 
 
 def test_config_booleans_are_strict(tmp_path, caplog):
+    flag = argparse.ArgumentParser().add_argument(
+        "--merge-split-tables", action=argparse.BooleanOptionalAction
+    )
     for raw, value in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
                        ("0", False), ("false", False), ("NO", False), ("Off", False)):
-        config = {"merge_split_tables": raw}
-        assert _setting(Namespace(), config, "merge_split_tables", True, bool) is value
+        assert _config_value(flag, raw) is value
     with pytest.raises(ValueError, match="merge_split_tables.*'ture'"):
-        _setting(Namespace(), {"merge_split_tables": "ture"}, "merge_split_tables", True, bool)
+        _config_value(flag, "ture")
 
     synth_dir = tmp_path / "c"
     main(["synth", str(synth_dir), "--seed", "4", "--books", "1", "--count", "2"])
@@ -538,6 +540,119 @@ def test_config_booleans_are_strict(tmp_path, caplog):
     assert code == EXIT_FATAL
     assert "merge_split_tables" in caplog.text and "'ture'" in caplog.text
     assert not records.exists()
+
+
+@pytest.fixture(scope="module")
+def cli_corpus(tmp_path_factory):
+    synth_dir = tmp_path_factory.mktemp("cli") / "c"
+    assert main(["synth", str(synth_dir), "--seed", "4", "--books", "1", "--count", "2",
+                 "--skew", "-3", "3", "--cell-dropout-prob", "0.1"]) == EXIT_OK
+    return synth_dir
+
+
+def extract_args(synth_dir, records):
+    return ["extract", str(synth_dir / "observed"), str(records), "--workers", "1",
+            "--schema-dir", str(synth_dir / "schemas"), "--gazetteer", str(synth_dir / "gazetteer.tsv")]
+
+
+def write_config(tmp_path, text):
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    return str(config)
+
+
+def test_eps_flags_take_a_number(cli_corpus, tmp_path):
+    records = tmp_path / "records.csv"
+    assert main([*extract_args(cli_corpus, records), "--eps-col", "25.5"]) == EXIT_OK
+    assert records.exists()
+    observed, gold = str(cli_corpus / "observed"), str(cli_corpus / "gold")
+    assert main(["eval", observed, gold, str(tmp_path / "e"), "--eps-row", "30"]) == EXIT_OK
+
+
+def test_an_eps_flag_and_the_same_config_key_write_the_same_records(cli_corpus, tmp_path):
+    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    assert main([*extract_args(cli_corpus, by_flag), "--eps-row", "30"]) == EXIT_OK
+    config = write_config(tmp_path, "eps_row = 30\n")
+    assert main(["--config", config, *extract_args(cli_corpus, by_config)]) == EXIT_OK
+    assert by_flag.read_bytes() == by_config.read_bytes()
+
+
+def test_eval_ignores_the_config_keys_of_extract(cli_corpus, tmp_path, monkeypatch):
+    def no_corrector(endpoint):
+        raise AssertionError("eval built a corrector")
+
+    monkeypatch.setattr("migrec.cli.HttpCorrectorClient", no_corrector)
+    config = write_config(
+        tmp_path, "merge_split_tables = ture\ncorrector_endpoint = http://127.0.0.1:9/\n"
+    )
+    out = tmp_path / "e"
+    code = main(["--config", config, "eval", str(cli_corpus / "observed"), str(cli_corpus / "gold"),
+                 str(out)])
+    assert code == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == sorted(EVAL_REPORTS)
+
+
+@pytest.mark.parametrize(
+    "flag, read, default, by_config, by_flag",
+    [
+        ("--eps-row", lambda options: options.grid.eps_row, GridConfig().eps_row, 30.0, 40.5),
+        ("--max-year", lambda options: options.chrono.max_year, ChronoConfig().max_year, 1900, 1910),
+        ("--max-rel-dist", lambda options: options.max_rel_dist, PipelineOptions().max_rel_dist,
+         0.1, 0.2),
+    ],
+    ids=["grid", "year", "max-rel-dist"],
+)
+def test_a_flag_beats_the_config_and_the_config_beats_the_default(
+    cli_corpus, tmp_path, monkeypatch, flag, read, default, by_config, by_flag
+):
+    seen = []
+    monkeypatch.setattr("migrec.cli.cmd_extract", lambda _in, _out, options, **kw: seen.append(options))
+    key = flag[2:].replace("-", "_")
+    config = write_config(tmp_path, f"{key} = {by_config}\n")
+    args = extract_args(cli_corpus, tmp_path / "records.csv")
+    for argv in (args, ["--config", config, *args], ["--config", config, *args, flag, str(by_flag)]):
+        assert main(argv) is None  # what the stand-in returned
+    assert [read(options) for options in seen] == [default, by_config, by_flag]
+
+
+def test_workers_and_format_come_from_the_flag_then_the_config(cli_corpus, tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr("migrec.cli.cmd_extract", lambda *a, **kw: seen.append(kw))
+    config = write_config(tmp_path, "workers = 3\nformat = jsonl\n")
+    observed, records = str(cli_corpus / "observed"), str(tmp_path / "r")
+    main(["--config", config, "extract", observed, records])
+    main(["--config", config, "extract", observed, records, "--workers", "0", "--format", "csv"])
+    assert [(kw["workers"], kw["records_format"]) for kw in seen] == [(3, "jsonl"), (0, "csv")]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(None, "No such file or directory"),
+     ("workers = 1\n# note\nworkers 2\n", ":3: expected key = value"),
+     ("workers = 1\nmin_yaer = 1800\n", ":2: unknown config key 'min_yaer'")],
+    ids=["missing", "no-equals", "unknown-key"],
+)
+def test_a_bad_config_file_is_fatal_and_names_its_line(cli_corpus, tmp_path, caplog, text, message):
+    config = write_config(tmp_path, text) if text else str(tmp_path / "absent.cfg")
+    records = tmp_path / "years.csv"
+    assert main(["--config", config, "years", str(cli_corpus / "observed"), str(records)]) == EXIT_FATAL
+    assert "fatal: " in caplog.text and config in caplog.text and message in caplog.text
+    if text:
+        assert f"{config}{message}" in caplog.text
+    assert not records.exists()
+
+
+def test_one_config_file_serves_every_subcommand(cli_corpus, tmp_path):
+    config = write_config(
+        tmp_path,
+        f"workers = 1\nschema_dir = {cli_corpus / 'schemas'}\ngazetteer = {cli_corpus / 'gazetteer.tsv'}\n"
+        "eps_row = auto\nmin_year = 1750\nmerge_split_tables = no\ndup_threshold = 0.8\n",
+    )
+    observed, gold = str(cli_corpus / "observed"), str(cli_corpus / "gold")
+    for command in (["extract", observed, str(tmp_path / "r.csv")],
+                    ["years", observed, str(tmp_path / "y.csv")],
+                    ["eval", observed, gold, str(tmp_path / "e")]):
+        assert main(["--config", config, *command]) == EXIT_OK, command
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,12 @@ import argparse
 import csv
 import logging
 import os
+import re
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace as dc_replace
+from itertools import repeat
 from pathlib import Path
 
 from .cells import read_schema_file
@@ -83,12 +85,13 @@ def _config_value(action: argparse.Action, raw: str):
     return value
 
 
-def _apply_config(args: argparse.Namespace, path: str, parser: argparse.ArgumentParser) -> None:
+def _apply_config(args: argparse.Namespace, path: str, parser: argparse.ArgumentParser) -> dict:
     """Set from a config file each option of the running subcommand that no flag set.
 
     The file holds ``key = value`` lines ('#' comments and blank lines are
     ignored).  A key is the ``dest`` of an option without a default on any
-    subcommand, so one file serves several commands.
+    subcommand, so one file serves several commands.  Returns the
+    ``path:line`` of each key it set.
     """
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     settable = {
@@ -97,6 +100,7 @@ def _apply_config(args: argparse.Namespace, path: str, parser: argparse.Argument
     }
     own = settable[args.command]
     unset = {dest for dest in own if getattr(args, dest) is None}
+    origins = {}
     for lineno, line in content_lines(path):
         key, eq, raw = line.partition("=")
         key = key.strip().replace("-", "_")
@@ -109,6 +113,8 @@ def _apply_config(args: argparse.Namespace, path: str, parser: argparse.Argument
                 setattr(args, key, _config_value(own[key], raw.strip()))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            origins[key] = f"{path}:{lineno}"
+    return origins
 
 
 def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
@@ -118,9 +124,16 @@ def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
     return {kw: getattr(args, dest) for kw, dest in pairs if getattr(args, dest) is not None}
 
 
-def _settings(cls, args: argparse.Namespace):
-    """A settings dataclass from the set options named after its fields."""
-    return cls(**_given(args, *(f.name for f in fields(cls))))
+def _settings(cls, args: argparse.Namespace, origins: dict[str, str]):
+    """A settings dataclass from the set options named after its fields; a value
+    it rejects is reported at the config line (``origins``) of each key its message names."""
+    given = _given(args, *(f.name for f in fields(cls)))
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        if where := [origins[k] for k in given if k in origins and k in re.findall(r"\w+", str(exc))]:
+            raise ValueError(f"{', '.join(where)}: {exc}") from None
+        raise
 
 
 def _load_schemas(schema_dir: str | None) -> dict:
@@ -153,11 +166,6 @@ def _document_paths(in_dir: str) -> list[str]:
     return sorted(str(p) for p in Path(in_dir).rglob("*.jsonl"))
 
 
-def _run_book(task: tuple[str, list[str], PipelineOptions]):
-    book_id, paths, options = task
-    return process_book(book_id, paths, options)
-
-
 def cmd_extract(
     in_dir: str,
     out_path: str,
@@ -176,17 +184,13 @@ def cmd_extract(
     if not paths:
         log.error("no document files (*.jsonl) under %s", in_dir)
         return EXIT_FATAL
-    groups = group_documents_by_book(paths)
-    tasks = [(book_id, files, options) for book_id, files in groups.items()]
-
-    results = []
+    groups = group_documents_by_book(paths)  # in book order, which map keeps
+    books = (groups, groups.values(), repeat(options))
     if workers <= 1:
-        for task in tasks:
-            results.append(_run_book(task))
+        results = list(map(process_book, *books))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_book, tasks))
-    results.sort(key=lambda r: r.book_id)
+            results = list(pool.map(process_book, *books))
 
     records = []
     summary: Counter = Counter()
@@ -195,7 +199,6 @@ def cmd_extract(
         records.extend(result.records)
         summary.update(result.summary)
         failures.extend(result.failures)
-    records.sort(key=lambda r: (r.book_id, r.opening_id))
 
     write_records(records, out_path, format=records_format)
     summary_obj = {
@@ -493,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--book-directions")
     p.add_argument("--summary", dest="summary_path")
     _add_grid_flags(p)
-    p.add_argument("--merge-split-tables", action=argparse.BooleanOptionalAction)
     _add_chrono_flags(p)
 
     p = sub.add_parser("eval", help="score predicted documents against gold documents")
@@ -551,19 +553,18 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.config:
-            _apply_config(args, args.config, parser)
+        origins = _apply_config(args, args.config, parser) if args.config else {}
         endpoint = getattr(args, "corrector_endpoint", None)  # extract and years only
         corrector = HttpCorrectorClient(endpoint) if endpoint else None
         if args.command == "extract":
             options = PipelineOptions(
-                grid=_settings(GridConfig, args),
-                chrono=_settings(ChronoConfig, args),
+                grid=_settings(GridConfig, args, origins),
+                chrono=_settings(ChronoConfig, args, origins),
                 schemas=_load_schemas(args.schema_dir),
                 gazetteer=Gazetteer.from_file(args.gazetteer) if args.gazetteer else None,
                 book_directions=_load_book_directions(args.book_directions),
                 corrector=corrector,
-                **_given(args, "max_rel_dist", "merge_split_tables"),
+                **_given(args, "max_rel_dist"),
             )
             workers = (os.cpu_count() or 1) if args.workers is None else args.workers
             return cmd_extract(
@@ -573,7 +574,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return cmd_eval(
                 args.pred_dir, args.gold_dir, args.out_dir,
-                grid_cfg=_settings(GridConfig, args), chrono_cfg=_settings(ChronoConfig, args),
+                grid_cfg=_settings(GridConfig, args, origins),
+                chrono_cfg=_settings(ChronoConfig, args, origins),
             )
         if args.command == "synth":
             cfg = SynthConfig(
@@ -596,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.command == "years":
             return cmd_years(
-                args.in_dir, args.out_path, _settings(ChronoConfig, args), corrector=corrector
+                args.in_dir, args.out_path, _settings(ChronoConfig, args, origins), corrector=corrector
             )
         if args.command == "normalize":
             return cmd_normalize(

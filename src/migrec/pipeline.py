@@ -3,9 +3,9 @@
 A book is the unit of work: year inference is sequential over its pages,
 while distinct books are independent and can run in parallel workers.  Each
 opening goes through coordinate de-skew, grid completion (with one
-relaxed-eps retry), an optional split-table merge pass, cell routing and
-repetition fill, then record assembly; years are resolved once per book and
-parish names matched against the gazetteer at the end.
+relaxed-eps retry), cell routing and repetition fill, then record assembly;
+years are resolved once per book and parish names matched against the
+gazetteer at the end.
 
 The steps the commands share live here, once each:
 
@@ -40,7 +40,9 @@ from .geometry import (
     Homography, angle_stats, apply_point, deskew_transforms, edge_angle_from_vertical,
     transform_box,
 )
-from .gridrec import GridConfig, GridTable, complete_grid_with_retry, merge_split_tables
+from .gridrec import GridConfig, GridTable, complete_grid_with_retry
+# Not called here; perfbench/tracing.py wraps this name on this module.
+from .gridrec import merge_split_tables  # noqa: F401
 from .interchange import (
     CELL_CLASSES, LAYOUT_TYPES, Box, CellHypothesis, CellLine, DetectionDocument, MigrationRecord,
     TableDetection, decode_json_line, dominant_class, parse_header, read_document,
@@ -61,7 +63,6 @@ class PipelineOptions:
     max_rel_dist: float = MAX_REL_DIST
     book_directions: dict[str, str] = field(default_factory=dict)
     corrector: CorrectorClient | None = None
-    merge_split_tables: bool = True
 
     def direction_mode(self, book_id: str) -> str:
         mode = self.book_directions.get(book_id, "mixed")
@@ -168,48 +169,32 @@ def match_parishes(
 @dataclass
 class OpeningResult:
     opening_id: str
-    grids: list[tuple[str, bool, GridTable]]  # (side, merged, grid)
+    grids: list[tuple[str, GridTable]]  # (side, grid)
     pages: dict[str, PageObservations]
     layout_type: str
     stats: Counter
 
 
 def process_opening(doc: DetectionDocument, options: PipelineOptions) -> OpeningResult:
-    """De-skew one opening's coordinates and reconstruct its table grids."""
-    stats: Counter = Counter()
-    tables, (h_left, _) = deskew_document(doc)
-    center_x = doc.image_width / 2.0
-    if h_left is not None:
-        center_x = apply_point(h_left, doc.keypoints.b).x
+    """De-skew one opening's coordinates and reconstruct one grid per table.
 
-    grids: list[tuple[str, bool, GridTable]] = []
-    plain: list[GridTable] = []
-    sides: dict[int, str] = {}
+    Grids come in de-skewed reading order: by the table box's top edge, then
+    its left edge, ties in document order.
+    """
+    stats: Counter = Counter()
+    tables, _ = deskew_document(doc)
+    grids: list[tuple[str, GridTable]] = []
     for side, table in tables:
         if not table.cells:
             stats["tables_without_cells"] += 1
             continue
         grid = complete_grid_with_retry(table.box, table.cells, options.grid)
-        sides[id(grid)] = side
-        plain.append(grid)
         stats["tables"] += 1
-
-    if options.merge_split_tables and len(plain) > 1:
-        merged_list = merge_split_tables(plain, center_x, options.grid)
-    else:
-        merged_list = plain
-    original = {id(g) for g in plain}
-    for grid in merged_list:
-        merged = id(grid) not in original
-        if merged:
-            stats["tables_merged"] += 1
-            side = "left"
-        else:
-            side = sides[id(grid)]
         stats["cells_detected"] += grid.count_provenance("detected")
         stats["cells_inferred"] += grid.count_provenance("inferred")
         stats["cells_residual"] += len(grid.residual)
-        grids.append((side, merged, grid))
+        grids.append((side, grid))
+    grids.sort(key=lambda g: (g[1].table_box.y_min, g[1].table_box.x_min))
 
     return OpeningResult(
         opening_id=doc.opening_id,
@@ -413,16 +398,6 @@ def eval_reports(
     return {name: (header, body) for (name, header), body in zip(EVAL_REPORTS.items(), rows)}
 
 
-def _record_direction(mode: str, side: str, merged: bool) -> str:
-    if mode in ("in", "out"):
-        return mode
-    if merged:
-        # full-opening tables mix both directions in separate columns;
-        # without column semantics the direction stays unresolved
-        return "unknown"
-    return "in" if side == "left" else "out"
-
-
 @dataclass
 class BookResult:
     book_id: str
@@ -462,11 +437,11 @@ def process_book(
     records: list[MigrationRecord] = []
     for opening in openings:
         schema = options.schemas.get(opening.layout_type)
-        for side, merged, grid in opening.grids:
+        for side, grid in opening.grids:
             page = resolved.get((opening.opening_id, side))
             year = page.year if page is not None else None
             year_inferred = page is not None and page.source != "observed" and year is not None
-            direction = _record_direction(mode, side, merged)
+            direction = mode if mode in ("in", "out") else ("in" if side == "left" else "out")
             rows = assemble_records(
                 grid,
                 year,

@@ -26,10 +26,11 @@ from migrec.cli import (
     cmd_years,
     main,
 )
-from migrec.geometry import transform_box
+from migrec.geometry import Homography, transform_box
 from migrec.gridrec import GridConfig
 from migrec.interchange import (
     MigrationRecord,
+    TableDetection,
     read_document,
     read_records,
     write_document,
@@ -43,6 +44,7 @@ from migrec.pipeline import (
     eval_reports,
     group_documents_by_book,
     process_book,
+    process_opening,
     score_opening,
 )
 from migrec.synth import DEFAULT_SCHEMA, SynthConfig, generate_book, sample_gazetteer, write_corpus
@@ -523,23 +525,24 @@ def test_main_config_file_defaults(tmp_path):
 
 def test_config_booleans_are_strict(tmp_path, caplog):
     flag = argparse.ArgumentParser().add_argument(
-        "--merge-split-tables", action=argparse.BooleanOptionalAction
+        "--drop-duplicates", action=argparse.BooleanOptionalAction
     )
     for raw, value in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
                        ("0", False), ("false", False), ("NO", False), ("Off", False)):
         assert _config_value(flag, raw) is value
-    with pytest.raises(ValueError, match="merge_split_tables.*'ture'"):
+    with pytest.raises(ValueError, match="drop_duplicates.*'ture'"):
         _config_value(flag, "ture")
 
     synth_dir = tmp_path / "c"
     main(["synth", str(synth_dir), "--seed", "4", "--books", "1", "--count", "2"])
     config = tmp_path / "run.cfg"
-    config.write_text("workers = 1\nmerge_split_tables = ture\n", encoding="utf-8")
-    records = tmp_path / "records.csv"
-    code = main(["--config", str(config), "extract", str(synth_dir / "observed"), str(records)])
+    config.write_text("max_rel_dist = 0.2\ndrop_duplicates = ture\n", encoding="utf-8")
+    out = tmp_path / "normalized.jsonl"
+    code = main(["--config", str(config), "normalize", str(synth_dir / "gold_records.jsonl"),
+                 str(out), "--gazetteer", str(synth_dir / "gazetteer.tsv")])
     assert code == EXIT_FATAL
-    assert "merge_split_tables" in caplog.text and "'ture'" in caplog.text
-    assert not records.exists()
+    assert "drop_duplicates" in caplog.text and "'ture'" in caplog.text
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -583,7 +586,7 @@ def test_eval_ignores_the_config_keys_of_extract(cli_corpus, tmp_path, monkeypat
 
     monkeypatch.setattr("migrec.cli.HttpCorrectorClient", no_corrector)
     config = write_config(
-        tmp_path, "merge_split_tables = ture\ncorrector_endpoint = http://127.0.0.1:9/\n"
+        tmp_path, "workers = many\ncorrector_endpoint = http://127.0.0.1:9/\n"
     )
     out = tmp_path / "e"
     code = main(["--config", config, "eval", str(cli_corpus / "observed"), str(cli_corpus / "gold"),
@@ -629,8 +632,9 @@ def test_workers_and_format_come_from_the_flag_then_the_config(cli_corpus, tmp_p
     "text, message",
     [(None, "No such file or directory"),
      ("workers = 1\n# note\nworkers 2\n", ":3: expected key = value"),
-     ("workers = 1\nmin_yaer = 1800\n", ":2: unknown config key 'min_yaer'")],
-    ids=["missing", "no-equals", "unknown-key"],
+     ("workers = 1\nmin_yaer = 1800\n", ":2: unknown config key 'min_yaer'"),
+     ("workers = 1\nmerge_split_tables = yes\n", ":2: unknown config key 'merge_split_tables'")],
+    ids=["missing", "no-equals", "unknown-key", "removed-merge-key"],
 )
 def test_a_bad_config_file_is_fatal_and_names_its_line(cli_corpus, tmp_path, caplog, text, message):
     config = write_config(tmp_path, text) if text else str(tmp_path / "absent.cfg")
@@ -646,13 +650,107 @@ def test_one_config_file_serves_every_subcommand(cli_corpus, tmp_path):
     config = write_config(
         tmp_path,
         f"workers = 1\nschema_dir = {cli_corpus / 'schemas'}\ngazetteer = {cli_corpus / 'gazetteer.tsv'}\n"
-        "eps_row = auto\nmin_year = 1750\nmerge_split_tables = no\ndup_threshold = 0.8\n",
+        "eps_row = auto\nmin_year = 1750\ndrop_duplicates = no\ndup_threshold = 0.8\n",
     )
     observed, gold = str(cli_corpus / "observed"), str(cli_corpus / "gold")
     for command in (["extract", observed, str(tmp_path / "r.csv")],
                     ["years", observed, str(tmp_path / "y.csv")],
                     ["eval", observed, gold, str(tmp_path / "e")]):
         assert main(["--config", config, *command]) == EXIT_OK, command
+
+
+@pytest.mark.parametrize(
+    "text, lines, message",
+    [("workers = 1\neps_row = -1\n", (2,), "eps_row must be positive"),
+     ("min_pts = 0\n", (1,), "min_pts must be at least 1"),
+     ("min_year = 1950\n", (1,), "min_year must not exceed max_year"),
+     ("max_year = 1690\n# both named\nmin_year = 1750\n", (3, 1),
+      "min_year must not exceed max_year"),
+     ("max_jump = -2\n", (1,), "max_jump must be non-negative")],
+    ids=["eps-row", "min-pts", "min-year", "both-years", "max-jump"],
+)
+def test_a_config_value_the_library_rejects_names_its_line(
+    cli_corpus, tmp_path, caplog, text, lines, message
+):
+    config = write_config(tmp_path, text)
+    where = ", ".join(f"{config}:{line}" for line in lines)
+    out = tmp_path / "e"
+    args = ["eval", str(cli_corpus / "observed"), str(cli_corpus / "gold"), str(out)]
+    assert main(["--config", config, *args]) == EXIT_FATAL
+    assert caplog.text.rstrip().endswith(f"fatal: {where}: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--eps-row", "-1"], "eps_row must be positive"),
+     (["--min-year", "1950"], "min_year must not exceed max_year")],
+    ids=["eps-row", "min-year"],
+)
+def test_a_flag_value_the_library_rejects_keeps_its_message(
+    cli_corpus, tmp_path, caplog, flags, message
+):
+    config = write_config(tmp_path, "workers = 1\n")
+    args = ["eval", str(cli_corpus / "observed"), str(cli_corpus / "gold"), str(tmp_path / "e")]
+    assert main(["--config", config, *args, *flags]) == EXIT_FATAL
+    assert caplog.text.rstrip().endswith(f"fatal: {message}")
+
+
+def moved(table: TableDetection, h: Homography) -> TableDetection:
+    """The table with its own, cell and line boxes moved by ``h``."""
+    cells = tuple(
+        replace(cell, box=transform_box(h, cell.box),
+                lines=tuple(replace(line, box=transform_box(h, line.box)) for line in cell.lines))
+        for cell in table.cells
+    )
+    return TableDetection(transform_box(h, table.box), cells)
+
+
+def test_tables_near_the_spine_keep_every_record(tmp_path):
+    book = generate_book(SynthConfig(seed=5, rows=(8, 8)), 4)
+    paths = write_corpus([book], tmp_path / "c")
+    for fixture in book.openings:  # move each page's table 110 px toward the spine
+        doc = fixture.document
+        shift = {"left": Homography.translation(110.0, 0.0),
+                 "right": Homography.translation(-110.0, 0.0)}
+        tables = tuple(moved(t, shift[doc.page_side(t.box.center.x, t.box.center.y)])
+                       for t in doc.tables)
+        write_document(replace(doc, tables=tables),
+                       str(Path(paths["observed"]) / f"{doc.opening_id}.jsonl"))
+
+    out_path = tmp_path / "records.jsonl"
+    code = cmd_extract(paths["observed"], str(out_path), standard_options(paths),
+                       workers=1, records_format="jsonl")
+    assert code == EXIT_OK
+    got = sorted(read_records(str(out_path), format="jsonl"), key=sort_key)
+    gold = sorted((r for fx in book.openings for r in fx.gold_records), key=sort_key)
+    assert len(gold) == 62
+    assert got == gold
+    assert {(r.page_side, r.direction) for r in got} == {("left", "in"), ("right", "out")}
+
+    with pytest.raises(SystemExit) as exc:  # the merge switch is gone with the merge
+        main(["extract", paths["observed"], str(tmp_path / "r.csv"), "--merge-split-tables"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "right_first, raise_right, sides",
+    [(True, 40.0, ["right", "left"]), (False, 40.0, ["right", "left"]),
+     (True, 0.0, ["left", "right"])],
+    ids=["right-listed-first-and-higher", "right-higher", "right-listed-first"],
+)
+def test_grids_come_in_deskewed_reading_order(right_first, raise_right, sides):
+    book = generate_book(SynthConfig(seed=21, skew_degrees=(1.0, 3.0)), 1)
+    doc = book.openings[0].document
+    left, right = sorted(doc.tables, key=lambda t: t.box.x_min)
+    right = moved(right, Homography.translation(0.0, -raise_right))
+    doc = replace(doc, tables=(right, left) if right_first else (left, right))
+    grids = process_opening(doc, PipelineOptions()).grids
+    assert [side for side, _ in grids] == sides
+    deskewed = [table.box for _, table in deskew_document(doc)[0]]
+    assert [grid.table_box for _, grid in grids] == sorted(
+        deskewed, key=lambda box: (box.y_min, box.x_min)
+    )
 
 
 @pytest.mark.parametrize(
@@ -878,8 +976,8 @@ def test_eval_warns_of_a_prediction_without_gold(corpus, tmp_path, caplog):
 
 @pytest.mark.parametrize(
     "flag",
-    [["--merge-split-tables"], ["--no-merge-split-tables"], ["--corrector-endpoint", "http://x"]],
-    ids=["merge", "no-merge", "corrector"],
+    [["--workers", "2"], ["--book-directions", "d.tsv"], ["--corrector-endpoint", "http://x"]],
+    ids=["workers", "book-directions", "corrector"],
 )
 def test_eval_rejects_flags_it_does_not_use(flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -887,7 +985,8 @@ def test_eval_rejects_flags_it_does_not_use(flag, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     args = build_parser().parse_args(["extract", "in", "out.csv", *flag])
-    assert args.merge_split_tables is not None or args.corrector_endpoint == "http://x"
+    dest = flag[0][2:].replace("-", "_")
+    assert getattr(args, dest) == (int(flag[1]) if dest == "workers" else flag[1])
 
 
 # a book id and a parish that need every kind of CSV quoting

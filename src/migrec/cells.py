@@ -156,8 +156,9 @@ class ColumnSchema:
     avg_lens: tuple[float | None, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("column labels must be unique")
+        for i, label in enumerate(self.labels):
+            if label in self.labels[:i]:
+                raise ValueError(f"column labels must be unique: {label!r} repeats")
         if len(self.kinds) != len(self.labels):
             raise ValueError("one kind per label required")
         for kind in self.kinds:
@@ -180,20 +181,30 @@ def read_schema_file(path: str) -> ColumnSchema:
     """Load a column schema from the tab-separated layout file.
 
     One column per line, in order: ``label<TAB>kind`` or
-    ``label<TAB>kind;avg_len``.  UTF-8, '#' comments allowed.
+    ``label<TAB>kind;avg_len``.  UTF-8, '#' comments allowed.  An error
+    names the file and the line that makes the columns read so far invalid.
     """
-    labels: list[str] = []
-    kinds: list[str] = []
-    avg_lens: list[float | None] = []
+    schema = ColumnSchema(labels=(), kinds=())
     for lineno, line in content_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected label<TAB>kind[;avg_len]")
         kind, _, avg = parts[1].partition(";")
-        labels.append(parts[0].strip())
-        kinds.append(kind.strip())
-        avg_lens.append(float(avg) if avg.strip() else None)
-    return ColumnSchema(labels=tuple(labels), kinds=tuple(kinds), avg_lens=tuple(avg_lens))
+        try:
+            avg_len = float(avg) if avg.strip() else None
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: avg_len {avg.strip()!r} is not a number") from None
+        try:
+            schema = ColumnSchema(
+                labels=schema.labels + (parts[0].strip(),),
+                kinds=schema.kinds + (kind.strip(),),
+                avg_lens=schema.avg_lens + (avg_len,),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not schema.labels:
+        raise ValueError(f"{path}: no column lines")
+    return schema
 
 
 def write_schema_file(schema: ColumnSchema, path: str) -> None:

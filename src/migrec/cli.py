@@ -137,12 +137,14 @@ def _settings(cls, args: argparse.Namespace, origins: dict[str, str]):
 
 
 def _load_schemas(schema_dir: str | None) -> dict:
+    """One column schema per ``<layout>.tsv`` file; a directory without any is an error."""
     if not schema_dir:
         return {}
-    schemas = {}
-    for path in sorted(Path(schema_dir).glob("*.tsv")):
-        schemas[path.stem] = read_schema_file(str(path))
-    return schemas
+    paths = sorted(Path(schema_dir).glob("*.tsv"))
+    if not paths:
+        problem = "holds no *.tsv schema file" if Path(schema_dir).is_dir() else "is not a directory"
+        raise ValueError(f"schema directory {schema_dir} {problem}")
+    return {path.stem: read_schema_file(str(path)) for path in paths}
 
 
 def _load_book_directions(path: str | None) -> dict[str, str]:

@@ -347,8 +347,12 @@ def complete_grid(table_box: Box, cells: Sequence[CellHypothesis], cfg: GridConf
     )
 
 
+# The retry after a band pairing failure scales both eps values by this.
+RETRY_EPS_FACTOR = 1.5
+
+
 def complete_grid_with_retry(
-    table_box: Box, cells: Sequence[CellHypothesis], cfg: GridConfig, eps_factor: float = 1.5
+    table_box: Box, cells: Sequence[CellHypothesis], cfg: GridConfig
 ) -> GridTable:
     """Run :func:`complete_grid`, retrying once with relaxed eps on pairing failure."""
     try:
@@ -356,11 +360,11 @@ def complete_grid_with_retry(
     except BandPairingError as exc:
         boxes = [c.box for c in cells]
         relaxed = GridConfig(
-            eps_row=resolve_eps(cfg.eps_row, boxes, "row") * eps_factor,
-            eps_col=resolve_eps(cfg.eps_col, boxes, "col") * eps_factor,
+            eps_row=resolve_eps(cfg.eps_row, boxes, "row") * RETRY_EPS_FACTOR,
+            eps_col=resolve_eps(cfg.eps_col, boxes, "col") * RETRY_EPS_FACTOR,
             min_pts=cfg.min_pts,
         )
-        log.warning("band pairing failed (%s); retrying with eps x %.2f", exc, eps_factor)
+        log.warning("band pairing failed (%s); retrying with eps x %.2f", exc, RETRY_EPS_FACTOR)
         return complete_grid(table_box, cells, relaxed)
 
 

@@ -667,11 +667,15 @@ _csv_values = attrgetter(*_RECORD_COLUMNS[:-1])  # flags, the last column, are j
 
 def content_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, line without its newline) of a UTF-8 text file;
-    blank lines and '#' comment lines are skipped."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.strip() and not line.lstrip().startswith("#"):
-                yield lineno, line.rstrip("\n")
+    blank lines and '#' comment lines are skipped.  A file that is not
+    UTF-8 raises a :class:`ParseError` naming it and its first bad line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if line.strip() and not line.lstrip().startswith("#"):
+                    yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError:
+        raise _not_utf8(path).within(path, ": ") from None
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -24,7 +24,12 @@ MAX_REL_DIST = 0.25
 
 
 class GazetteerError(ValueError):
-    """Raised for malformed or ambiguous gazetteer content."""
+    """Raised for malformed or ambiguous gazetteer content; ``canonical`` names
+    the entry found at fault, where there is one."""
+
+    def __init__(self, message: str, canonical: str | None = None) -> None:
+        super().__init__(message)
+        self.canonical = canonical
 
 
 def _fold(name: str) -> str:
@@ -48,11 +53,11 @@ class Gazetteer:
             for form in {canonical, *variants}:
                 folded = _fold(form)
                 if not folded:
-                    raise GazetteerError(f"empty name under canonical {canonical!r}")
+                    raise GazetteerError(f"empty name under canonical {canonical!r}", canonical)
                 owner = lookup.get(folded)
                 if owner is not None and owner != canonical:
                     raise GazetteerError(
-                        f"variant {form!r} maps to both {owner!r} and {canonical!r}"
+                        f"variant {form!r} maps to both {owner!r} and {canonical!r}", canonical
                     )
                 lookup[folded] = canonical
         by_length: dict[int, list[tuple[str, str]]] = {}
@@ -71,7 +76,7 @@ class Gazetteer:
         entries: dict[str, frozenset[str]] = {}
         for canonical, variants in pairs:
             if canonical in entries:
-                raise GazetteerError(f"duplicate canonical name {canonical!r}")
+                raise GazetteerError(f"duplicate canonical name {canonical!r}", canonical)
             entries[canonical] = frozenset(variants)
         return Gazetteer(entries=entries)
 
@@ -80,21 +85,27 @@ class Gazetteer:
         """Load the tab-separated gazetteer format.
 
         One parish per line: ``canonical<TAB>variant1;variant2;...``; the
-        variant list may be empty.  UTF-8, '#' comments allowed.
+        variant list may be empty.  UTF-8, '#' comments allowed.  An error
+        names the file and the line of the entry at fault.
         """
         pairs = []
+        lines: dict[str, int] = {}  # canonical name -> its last line
         for lineno, line in content_lines(path):
             parts = line.split("\t")
             if len(parts) > 2:
-                raise GazetteerError(f"line {lineno}: expected at most one tab")
+                raise GazetteerError(f"{path}:{lineno}: expected at most one tab")
             canonical = parts[0].strip()
             if not canonical:
-                raise GazetteerError(f"line {lineno}: empty canonical name")
+                raise GazetteerError(f"{path}:{lineno}: empty canonical name")
             variants = []
             if len(parts) == 2 and parts[1].strip():
                 variants = [v.strip() for v in parts[1].split(";") if v.strip()]
             pairs.append((canonical, variants))
-        return Gazetteer.from_pairs(pairs)
+            lines[canonical] = lineno
+        try:
+            return Gazetteer.from_pairs(pairs)
+        except GazetteerError as exc:
+            raise GazetteerError(f"{path}:{lines[exc.canonical]}: {exc}", exc.canonical) from None
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -9,10 +9,12 @@ gazetteer at the end.
 
 The steps the commands share live here, once each:
 
-- :func:`deskew_document` solves an opening's page transforms and de-skews
-  its tables (``extract`` through :func:`process_opening`, and ``eval``);
-- :func:`collect_years` turns its year detections into page observations
-  (``extract``, ``eval`` and ``years``);
+- :func:`process_opening` de-skews an opening's tables, builds one grid
+  per table and collects its year pages (``extract`` through
+  :func:`process_book`, and ``eval`` through :func:`score_opening`); a
+  failed grid costs only its own table;
+- :func:`collect_years` turns an opening's year detections into page
+  observations (:func:`process_opening`, and ``years``);
 - :func:`resolve_years` runs the external corrector or the rule-based DP
   over a book's pages (``extract`` through :func:`process_book`, and
   ``years``);
@@ -169,40 +171,46 @@ def match_parishes(
 @dataclass
 class OpeningResult:
     opening_id: str
-    grids: list[tuple[str, GridTable]]  # (side, grid)
+    tables: list[tuple[str, TableDetection]]  # (side, de-skewed table), document order
+    transforms: tuple[Homography | None, Homography | None]  # (h_left, h_right)
+    grids: list[tuple[str, GridTable]]  # (side, grid), reading order
     pages: dict[str, PageObservations]
     layout_type: str
     stats: Counter
+    failures: list[str]  # "table <i>: grid reconstruction failed: <error>"
 
 
 def process_opening(doc: DetectionDocument, options: PipelineOptions) -> OpeningResult:
     """De-skew one opening's coordinates and reconstruct one grid per table.
 
     Grids come in de-skewed reading order: by the table box's top edge, then
-    its left edge, ties in document order.
+    its left edge, ties in document order.  A table whose grid cannot be
+    reconstructed is logged, counted and listed in ``failures``; the other
+    tables and the opening's year pages are kept.
     """
     stats: Counter = Counter()
-    tables, _ = deskew_document(doc)
+    failures: list[str] = []
+    tables, transforms = deskew_document(doc)
     grids: list[tuple[str, GridTable]] = []
-    for side, table in tables:
+    for i, (side, table) in enumerate(tables):
         if not table.cells:
             stats["tables_without_cells"] += 1
             continue
-        grid = complete_grid_with_retry(table.box, table.cells, options.grid)
+        try:
+            grid = complete_grid_with_retry(table.box, table.cells, options.grid)
+        except Exception as exc:
+            failures.append(f"table {i}: grid reconstruction failed: {exc}")
+            log.warning("opening %s: %s", doc.opening_id, failures[-1])
+            stats["grids_failed"] += 1
+            continue
         stats["tables"] += 1
         stats["cells_detected"] += grid.count_provenance("detected")
         stats["cells_inferred"] += grid.count_provenance("inferred")
         stats["cells_residual"] += len(grid.residual)
         grids.append((side, grid))
     grids.sort(key=lambda g: (g[1].table_box.y_min, g[1].table_box.x_min))
-
-    return OpeningResult(
-        opening_id=doc.opening_id,
-        grids=grids,
-        pages=collect_years(doc, options.chrono),
-        layout_type=doc.layout_type,
-        stats=stats,
-    )
+    return OpeningResult(doc.opening_id, tables, transforms, grids,
+                         collect_years(doc, options.chrono), doc.layout_type, stats, failures)
 
 
 EVAL_REPORTS = {  # eval report file name -> header
@@ -232,22 +240,14 @@ class OpeningScore:
     angles: list[tuple[str, str, float]]  # (stage, edge, degrees from vertical)
 
 
-def _grid_boxes(opening_id: str, tables, grid_cfg: GridConfig) -> tuple[list[Box], list[Box]]:
-    """Row and column boxes derived from grid reconstruction per table."""
-    row_boxes: list[Box] = []
-    col_boxes: list[Box] = []
-    for _side, table in tables:
-        if not table.cells:
-            continue
-        box = table.box
-        try:
-            grid = complete_grid_with_retry(box, table.cells, grid_cfg)
-        except Exception as exc:
-            log.warning("opening %s: grid reconstruction failed during eval: %s", opening_id, exc)
-            continue
+def _detection_boxes(opening: OpeningResult) -> tuple[list[Box], list[Box], list[Box]]:
+    """An opening's table, grid row and grid column boxes; a band spans its table."""
+    row_boxes, col_boxes = [], []
+    for _side, grid in opening.grids:
+        box = grid.table_box
         row_boxes += [Box(box.x_min, band.start, box.x_max, band.end, 1.0) for band in grid.rows]
         col_boxes += [Box(band.start, box.y_min, band.end, box.y_max, 1.0) for band in grid.cols]
-    return row_boxes, col_boxes
+    return [table.box for _, table in opening.tables], row_boxes, col_boxes
 
 
 def score_opening(
@@ -256,36 +256,32 @@ def score_opening(
     grid_cfg: GridConfig,
     chrono_cfg: ChronoConfig,
 ) -> OpeningScore:
-    """Score one predicted opening against its gold document, both de-skewed.
+    """Score one predicted opening against its gold document.
 
-    Tables, grid rows and grid columns are matched box to box; matched cells
-    give the class confusion and, where the gold cell has text, a text pair.
+    Both go through :func:`process_opening`.  Tables, grid rows and grid
+    columns are matched box to box; matched cells give the class confusion
+    and, where the gold cell has text, a text pair.
     """
-    gold_tables, _ = deskew_document(gold_doc)
-    pred_tables, (h_left, h_right) = deskew_document(pred_doc)
-    detections = {}
-    detections["tables"], _ = ev.match_detections(
-        [t.box for _, t in pred_tables], [t.box for _, t in gold_tables]
-    )
-    pred_rows, pred_cols = _grid_boxes(pred_doc.opening_id, pred_tables, grid_cfg)
-    gold_rows, gold_cols = _grid_boxes(gold_doc.opening_id, gold_tables, grid_cfg)
-    detections["rows"], _ = ev.match_detections(pred_rows, gold_rows)
-    detections["columns"], _ = ev.match_detections(pred_cols, gold_cols)
+    options = PipelineOptions(grid=grid_cfg, chrono=chrono_cfg)
+    pred, gold = process_opening(pred_doc, options), process_opening(gold_doc, options)
+    kinds = zip(("tables", "rows", "columns"), _detection_boxes(pred), _detection_boxes(gold))
+    detections = {kind: ev.match_detections(p, g)[0] for kind, p, g in kinds}
 
-    pred_cells = [c for _, t in pred_tables for c in t.cells]
-    gold_cells = [c for _, t in gold_tables for c in t.cells]
+    pred_cells = [c for _, t in pred.tables for c in t.cells]
+    gold_cells = [c for _, t in gold.tables for c in t.cells]
     _, pairing = ev.match_detections([c.box for c in pred_cells], [c.box for c in gold_cells])
     confusion: Counter = Counter()
     text_pairs = []
     for pi, gi, _score in pairing:
-        pred, gold = pred_cells[pi], gold_cells[gi]
-        confusion[(dominant_class(gold.class_probs), dominant_class(pred.class_probs))] += 1
-        if gold_text := cell_text(gold):
-            text_pairs.append((cell_text(pred) or "", gold_text))
+        pred_cell, gold_cell = pred_cells[pi], gold_cells[gi]
+        confusion[dominant_class(gold_cell.class_probs), dominant_class(pred_cell.class_probs)] += 1
+        if gold_text := cell_text(gold_cell):
+            text_pairs.append((cell_text(pred_cell) or "", gold_text))
 
     angles = []
     kp = pred_doc.keypoints
     if kp is not None:
+        h_left, h_right = pred.transforms
         edges = (("left", kp.a, kp.d, h_left), ("middle", kp.b, kp.e, h_left),
                  ("right", kp.c, kp.f, h_right))
         for edge, top, bottom, h in edges:
@@ -294,8 +290,8 @@ def score_opening(
             angles.append(("deskewed", edge, deskewed))
 
     return OpeningScore(
-        pred_doc.book_id, gold_doc.layout_type, detections, confusion, text_pairs,
-        collect_years(pred_doc, chrono_cfg), collect_years(gold_doc, chrono_cfg), angles,
+        pred_doc.book_id, gold.layout_type, detections, confusion, text_pairs,
+        pred.pages, gold.pages, angles,
     )
 
 
@@ -418,6 +414,7 @@ def process_book(
             doc = read_document(path)
             openings.append(process_opening(doc, options))
             summary["openings_processed"] += 1
+            failures += [(str(path), failure) for failure in openings[-1].failures]
         except Exception as exc:
             log.warning("opening %s failed: %s", path, exc)
             failures.append((str(path), str(exc)))

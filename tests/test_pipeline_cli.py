@@ -36,6 +36,7 @@ from migrec.interchange import (
     write_document,
     write_records,
 )
+from migrec import pipeline
 from migrec.normalize import Gazetteer, match_parish
 from migrec.pipeline import (
     EVAL_REPORTS,
@@ -179,6 +180,45 @@ def test_extract_isolates_malformed_documents(corpus, tmp_path):
     assert summary["counts"]["openings_failed"] == 1
     assert summary["counts"]["openings_processed"] == 15
     assert len(summary["failures"]) == 1
+
+
+def test_a_failed_grid_costs_only_its_table(corpus, tmp_path, monkeypatch):
+    path = sorted(Path(corpus["paths"]["observed"]).glob("*.jsonl"))[2]
+    doc = read_document(str(path))
+    tables, _ = deskew_document(doc)
+    index, failing_cells = next(
+        (i, table.cells) for i, (side, table) in enumerate(tables) if side == "right"
+    )
+    grid = pipeline.complete_grid_with_retry
+
+    def right_grid_fails(table_box, cells, cfg):
+        if cells == failing_cells:
+            raise ValueError("no bands")
+        return grid(table_box, cells, cfg)
+
+    def extract(name):
+        out_path = tmp_path / f"{name}.jsonl"
+        code = cmd_extract(corpus["paths"]["observed"], str(out_path),
+                           standard_options(corpus["paths"]), workers=1, records_format="jsonl")
+        summary = json.loads((tmp_path / f"{name}.jsonl.summary.json").read_text())
+        return code, read_records(str(out_path), format="jsonl"), summary
+
+    _, all_records, full = extract("full")
+    monkeypatch.setattr("migrec.pipeline.complete_grid_with_retry", right_grid_fails)
+    code, records, summary = extract("failed")
+    assert code == EXIT_PARTIAL
+    lost = [r for r in all_records if r.opening_id == doc.opening_id and r.page_side == "right"]
+    assert lost and any(r.opening_id == doc.opening_id and r.page_side == "left" for r in records)
+    assert records == [r for r in all_records if r not in lost]
+    # the opening's pages stay observed in the year DP
+    assert {k: n for k, n in summary["counts"].items() if k.startswith("year_")} == {
+        k: n for k, n in full["counts"].items() if k.startswith("year_")
+    }
+    assert summary["counts"]["grids_failed"] == 1
+    assert summary["counts"]["openings_processed"] == 15
+    assert summary["failures"] == [
+        [str(path), f"table {index}: grid reconstruction failed: no bands"]
+    ]
 
 
 def test_extract_empty_directory_is_fatal(tmp_path):
@@ -562,6 +602,55 @@ def write_config(tmp_path, text):
     config = tmp_path / "run.cfg"
     config.write_text(text, encoding="utf-8")
     return str(config)
+
+
+@pytest.mark.parametrize("kind", ["missing", "no-tsv"])
+def test_a_schema_dir_without_schemas_is_fatal(cli_corpus, tmp_path, caplog, kind):
+    schema_dir = tmp_path / "schemaz"
+    if kind == "no-tsv":
+        schema_dir.mkdir()
+        (schema_dir / "preprinted.txt").write_text("ref\tnumeric\n", encoding="utf-8")
+    records = tmp_path / "records.csv"
+    args = ["extract", str(cli_corpus / "observed"), str(records), "--schema-dir", str(schema_dir)]
+    assert main(args) == EXIT_FATAL
+    assert f"fatal: schema directory {schema_dir} " in caplog.text
+    assert not records.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [("schema", "ref\tnumeric;x\n", ":1: avg_len 'x' is not a number"),
+     ("schema", "ref\tnumeric\n# note\nname\ttext\nref\ttext\n",
+      ":4: column labels must be unique: 'ref' repeats"),
+     ("schema", "ref\tnumeric\nname\tnames\n", ":2: unknown column kind 'names'"),
+     ("schema", b"ref\tnumeric\n\xffname\ttext\n", ": line 2: not UTF-8 text"),
+     ("schema", "# columns to come\n", ": no column lines"),
+     ("gazetteer", "Turku\tÅbo\tAbo\n", ":1: expected at most one tab"),
+     ("gazetteer", "Turku\tÅbo\n\nHelsinki\tÅbo\n",
+      ":3: variant 'Åbo' maps to both 'Turku' and 'Helsinki'"),
+     ("gazetteer", "Turku\nTurku\n", ":2: duplicate canonical name 'Turku'"),
+     ("gazetteer", b"Turku\t\xc5bo\n", ": line 1: not UTF-8 text")],
+    ids=["avg-len", "repeated-label", "unknown-kind", "schema-not-utf8", "no-columns", "two-tabs",
+         "shared-variant", "repeated-parish", "gazetteer-not-utf8"],
+)
+def test_a_bad_schema_or_gazetteer_names_its_file_and_line(
+    cli_corpus, tmp_path, caplog, name, text, message
+):
+    schema_dir, gazetteer = cli_corpus / "schemas", tmp_path / "gazetteer.tsv"
+    path = gazetteer
+    if name == "schema":
+        schema_dir = tmp_path / "schemas"
+        schema_dir.mkdir()
+        path = schema_dir / "preprinted.tsv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    records = tmp_path / "records.csv"
+    args = ["extract", str(cli_corpus / "observed"), str(records), "--workers", "1",
+            "--schema-dir", str(schema_dir)]
+    if name == "gazetteer":
+        args += ["--gazetteer", str(path)]
+    assert main(args) == EXIT_FATAL
+    assert f"fatal: {path}{message}" in caplog.text
+    assert not records.exists()
 
 
 def test_eps_flags_take_a_number(cli_corpus, tmp_path):
@@ -959,7 +1048,7 @@ def test_eval_grid_failure_names_the_opening(corpus, tmp_path, caplog, monkeypat
         code = cmd_eval(corpus["paths"]["observed"], corpus["paths"]["gold"], str(tmp_path))
     assert code == EXIT_OK
     opening_id = read_document(sorted(Path(corpus["paths"]["gold"]).glob("*.jsonl"))[0]).opening_id
-    assert f"opening {opening_id}: grid reconstruction failed during eval: no bands" in caplog.text
+    assert f"opening {opening_id}: table 0: grid reconstruction failed: no bands" in caplog.text
     rows = read_csv_rows(tmp_path / "detection_metrics.csv")
     assert [row["category"] for row in rows] == ["tables", "tables"]
 

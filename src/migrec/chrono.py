@@ -22,6 +22,7 @@ import urllib.request
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Sequence
 
+from .evaluation import f1_score
 from .interchange import Box
 
 log = logging.getLogger(__name__)
@@ -217,17 +218,19 @@ def infer_sequence(
             resolved[i] = replace(page, year=first_year)
 
     sequence = BookYearSequence(pages=tuple(resolved))
-    _check_sequence(sequence, cfg)
+    if problem := _order_problem([y for y in sequence.years() if y is not None], cfg):
+        raise RuntimeError(f"resolved years violate the sequence constraints: {problem}")
     return sequence
 
 
-def _check_sequence(sequence: BookYearSequence, cfg: ChronoConfig) -> None:
-    years = [y for y in sequence.years() if y is not None]
+def _order_problem(years: Sequence[int], cfg: ChronoConfig) -> str | None:
+    """What breaks a book's year order: a fall, or a jump over ``max_jump``."""
     for a, b in zip(years, years[1:]):
-        if b < a or b - a > cfg.max_jump:
-            raise RuntimeError(
-                f"resolved years violate the sequence constraints: {a} -> {b}"
-            )
+        if b < a:
+            return f"non-monotone sequence at {a} -> {b}"
+        if b - a > cfg.max_jump:
+            return f"jump {b - a} exceeds max_jump {cfg.max_jump}"
+    return None
 
 
 class CorrectorClient(Protocol):
@@ -246,12 +249,7 @@ def _validate_corrected(
             return f"non-integer year {year!r}"
         if not cfg.in_range(year):
             return f"year {year} outside [{cfg.min_year}, {cfg.max_year}]"
-    for a, b in zip(years, years[1:]):
-        if b < a:
-            return f"non-monotone sequence at {a} -> {b}"
-        if b - a > cfg.max_jump:
-            return f"jump {b - a} exceeds max_jump {cfg.max_jump}"
-    return None
+    return _order_problem(years, cfg)
 
 
 def external_correct(
@@ -293,9 +291,7 @@ def external_correct(
         else:
             source = "interpolated"
         resolved.append(ResolvedPage(page.opening_id, page.side, year, source))
-    sequence = BookYearSequence(pages=tuple(resolved))
-    _check_sequence(sequence, cfg)
-    return sequence
+    return BookYearSequence(pages=tuple(resolved))  # _validate_corrected checked the order
 
 
 class HttpCorrectorClient:
@@ -361,5 +357,4 @@ def evaluate_years(
         fn += len(gold_years - pred_years)
     precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
     recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return YearEvalResult(precision, recall, f1, tp, fp, fn, scored)
+    return YearEvalResult(precision, recall, f1_score(precision, recall), tp, fp, fn, scored)

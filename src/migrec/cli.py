@@ -39,12 +39,13 @@ from .pipeline import (
     DIRECTION_MODES,
     EVAL_REPORTS,
     PipelineOptions,
+    book_years,
     collect_years,
     eval_reports,
     group_documents_by_book,
     match_parishes,
     process_book,
-    resolve_years,
+    read_book,
     score_opening,
 )
 # Not called here; perfbench/tracing.py wraps these names on this module too.
@@ -213,12 +214,8 @@ def cmd_extract(
     if summary_path is None:
         summary_path = out_path + ".summary.json"
     write_json(summary_path, summary_obj)
-    log.info(
-        "extracted %d records from %d openings (%d failed)",
-        len(records),
-        summary.get("openings_processed", 0),
-        summary.get("openings_failed", 0),
-    )
+    log.info("extracted %d records from %d openings (%d failed)",
+             len(records), summary["openings_processed"], summary["openings_failed"])
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -239,7 +236,7 @@ def cmd_eval(
     Pairs are scored in file-name order, and the reports that
     :func:`~migrec.pipeline.eval_reports` merges from the scores are written
     as CSV files under ``out_dir``.  Two documents of one name under the same
-    directory are a fatal error.
+    directory are a fatal error; a table whose grid fails makes the run partial.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,7 +273,10 @@ def cmd_eval(
     for name, (header, rows) in eval_reports(scores, chrono_cfg).items():
         write_csv(out / name, header, rows)
     log.info("evaluation reports written to %s", out)
-    return EXIT_OK
+    if failed := sum(len(score.failures) for score in scores):
+        log.warning("grid reconstruction failed for %d tables; their rows and columns "
+                    "are not scored", failed)
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +292,21 @@ def cmd_years(
 ) -> int:
     """Resolve page-side years for every book under ``in_dir``.
 
-    A document that cannot be read is skipped with a warning naming its
-    file; the other documents' years are written and the run is partial.
+    A document that cannot be read or processed is skipped with a warning
+    naming its file; the other documents' years are written and the run is
+    partial.
     """
     paths = _document_paths(in_dir)
     if not paths:
         log.error("no document files under %s", in_dir)
         return EXIT_FATAL
     options = PipelineOptions(chrono=chrono_cfg, corrector=corrector)
-    rows = []
-    skipped = 0
+    rows, skipped = [], []
     for book_id, files in group_documents_by_book(paths).items():
-        pages = []
-        for path in files:
-            try:
-                doc = read_document(path)
-            except (OSError, ValueError) as exc:
-                log.warning("skipping %s: %s", path, exc)
-                skipped += 1
-                continue
-            pages.extend(collect_years(doc, chrono_cfg).values())
-        pages.sort(key=lambda p: (p.opening_id, p.side))
-        for page in resolve_years(pages, options).pages:
-            rows.append((book_id, page.opening_id, page.side, page.year, page.source))
+        pages, failures = read_book(files, lambda doc: collect_years(doc, chrono_cfg))
+        skipped += failures
+        sequence = book_years(pages.values(), options)
+        rows += [(book_id, p.opening_id, p.side, p.year, p.source) for p in sequence.pages]
     write_csv(out_path, ("book_id", "opening_id", "side", "year", "source"), rows)
     return EXIT_PARTIAL if skipped else EXIT_OK
 

@@ -155,7 +155,8 @@ def match_parish(raw: str, gazetteer: Gazetteer, max_rel_dist: float = MAX_REL_D
     (:func:`edit_distance` with ``bound``).  Only the best distance prunes,
     never ``max_rel_dist``: the candidates of a tie beyond the cap are part
     of the result.  Callers that match many names memoize per call site
-    (``process_book`` keeps one ``raw -> MatchResult`` dict per book).
+    (``pipeline.match_parishes`` keeps one ``raw -> MatchResult`` dict per
+    call, and ``extract`` calls it once per book).
     """
     folded = _fold(raw)
     if not folded:

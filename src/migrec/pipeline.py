@@ -9,15 +9,19 @@ gazetteer at the end.
 
 The steps the commands share live here, once each:
 
+- :func:`read_book` reads a book's documents in path order, applies one
+  step to each (``extract``: :func:`process_opening`, ``years``:
+  :func:`collect_years`), and logs, lists and skips a file that fails;
 - :func:`process_opening` de-skews an opening's tables, builds one grid
   per table and collects its year pages (``extract`` through
   :func:`process_book`, and ``eval`` through :func:`score_opening`); a
-  failed grid costs only its own table;
+  failed grid costs only its own table.  It counts nothing; ``extract``
+  counts the grids, tables and failures it returns;
 - :func:`collect_years` turns an opening's year detections into page
   observations (:func:`process_opening`, and ``years``);
-- :func:`resolve_years` runs the external corrector or the rule-based DP
-  over a book's pages (``extract`` through :func:`process_book`, and
-  ``years``);
+- :func:`book_years` orders a book's pages by (opening, side) and runs the
+  external corrector or the rule-based DP over them (``extract``,
+  ``years``, and ``eval`` through :func:`eval_reports`);
 - :func:`match_parishes` matches raw parish names against a gazetteer with
   a per-call memo (``extract`` through :func:`process_book`, and
   ``normalize``);
@@ -30,7 +34,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import evaluation as ev
 from .cells import ColumnSchema, assemble_records, cell_text
@@ -54,6 +58,7 @@ from .normalize import MAX_REL_DIST, Gazetteer, MatchResult, match_parish
 log = logging.getLogger(__name__)
 
 DIRECTION_MODES = ("in", "out", "mixed")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -128,15 +133,40 @@ def collect_years(doc: DetectionDocument, chrono: ChronoConfig) -> dict[str, Pag
     }
 
 
-def resolve_years(pages: Sequence[PageObservations], options: PipelineOptions) -> BookYearSequence:
-    """A book's page years, pages in the order given.
+def book_years(
+    pages_by_opening: Iterable[Mapping[str, PageObservations]], options: PipelineOptions
+) -> BookYearSequence:
+    """A book's page years, from one ``side -> page`` map per opening.
 
-    The external corrector answers when one is set (it falls back to the
-    rule-based DP itself); otherwise the DP runs alone.
+    The pages are ordered by (opening, side).  The external corrector
+    answers when one is set (it falls back to the rule-based DP itself);
+    otherwise the DP runs alone.
     """
+    pages = sorted((p for by_side in pages_by_opening for p in by_side.values()),
+                   key=lambda p: (p.opening_id, p.side))
     if options.corrector is not None:
         return external_correct(pages, options.corrector, options.chrono)
     return infer_sequence(pages, options.chrono)
+
+
+def read_book(
+    paths: Iterable[str], step: Callable[[DetectionDocument], T]
+) -> tuple[dict[str, T], list[tuple[str, str]]]:
+    """Apply ``step`` to each of a book's documents, read in path order.
+
+    Returns ``(done, failures)``: ``done`` maps each path to its result, in
+    path order.  A file that cannot be read or processed is logged as
+    ``skipping <path>: <error>`` and listed in ``failures`` as ``(path, error)``.
+    """
+    done: dict[str, T] = {}
+    failures: list[tuple[str, str]] = []
+    for path in sorted(paths):
+        try:
+            done[str(path)] = step(read_document(path))
+        except Exception as exc:
+            log.warning("skipping %s: %s", path, exc)
+            failures.append((str(path), str(exc)))
+    return done, failures
 
 
 def match_parishes(
@@ -176,7 +206,6 @@ class OpeningResult:
     grids: list[tuple[str, GridTable]]  # (side, grid), reading order
     pages: dict[str, PageObservations]
     layout_type: str
-    stats: Counter
     failures: list[str]  # "table <i>: grid reconstruction failed: <error>"
 
 
@@ -185,32 +214,23 @@ def process_opening(doc: DetectionDocument, options: PipelineOptions) -> Opening
 
     Grids come in de-skewed reading order: by the table box's top edge, then
     its left edge, ties in document order.  A table whose grid cannot be
-    reconstructed is logged, counted and listed in ``failures``; the other
-    tables and the opening's year pages are kept.
+    reconstructed is logged and listed in ``failures``; the other tables and
+    the opening's year pages are kept.  A table without cells gets no grid.
     """
-    stats: Counter = Counter()
     failures: list[str] = []
     tables, transforms = deskew_document(doc)
     grids: list[tuple[str, GridTable]] = []
     for i, (side, table) in enumerate(tables):
         if not table.cells:
-            stats["tables_without_cells"] += 1
             continue
         try:
-            grid = complete_grid_with_retry(table.box, table.cells, options.grid)
+            grids.append((side, complete_grid_with_retry(table.box, table.cells, options.grid)))
         except Exception as exc:
             failures.append(f"table {i}: grid reconstruction failed: {exc}")
             log.warning("opening %s: %s", doc.opening_id, failures[-1])
-            stats["grids_failed"] += 1
-            continue
-        stats["tables"] += 1
-        stats["cells_detected"] += grid.count_provenance("detected")
-        stats["cells_inferred"] += grid.count_provenance("inferred")
-        stats["cells_residual"] += len(grid.residual)
-        grids.append((side, grid))
     grids.sort(key=lambda g: (g[1].table_box.y_min, g[1].table_box.x_min))
     return OpeningResult(doc.opening_id, tables, transforms, grids,
-                         collect_years(doc, options.chrono), doc.layout_type, stats, failures)
+                         collect_years(doc, options.chrono), doc.layout_type, failures)
 
 
 EVAL_REPORTS = {  # eval report file name -> header
@@ -238,6 +258,7 @@ class OpeningScore:
     pred_pages: dict[str, PageObservations]
     gold_pages: dict[str, PageObservations]
     angles: list[tuple[str, str, float]]  # (stage, edge, degrees from vertical)
+    failures: list[str]  # failed grids of the predicted, then of the gold document
 
 
 def _detection_boxes(opening: OpeningResult) -> tuple[list[Box], list[Box], list[Box]]:
@@ -291,7 +312,7 @@ def score_opening(
 
     return OpeningScore(
         pred_doc.book_id, gold.layout_type, detections, confusion, text_pairs,
-        pred.pages, gold.pages, angles,
+        pred.pages, gold.pages, angles, pred.failures + gold.failures,
     )
 
 
@@ -310,7 +331,7 @@ def eval_reports(
     years_pred_raw: dict[tuple[str, str], set[int]] = {}
     years_pred_rule: dict[tuple[str, str], set[int]] = {}
     years_gold: dict[tuple[str, str], set[int]] = {}
-    books_pages: dict[str, list[PageObservations]] = {}
+    books_pages: dict[str, list[dict[str, PageObservations]]] = {}
     angles: dict[tuple[str, str], list[float]] = {}  # (stage, edge) -> degrees
     for score in scores:
         for kind, counts in score.detections.items():
@@ -321,14 +342,14 @@ def eval_reports(
         for by_side, target in ((score.pred_pages, years_pred_raw), (score.gold_pages, years_gold)):
             for page in by_side.values():
                 target.setdefault((page.opening_id, page.side), set()).update(page.years())
-        books_pages.setdefault(score.book_id, []).extend(score.pred_pages.values())
+        books_pages.setdefault(score.book_id, []).append(score.pred_pages)
         for stage, edge, degrees in score.angles:
             angles.setdefault((stage, edge), []).append(degrees)
 
+    options = PipelineOptions(chrono=chrono_cfg)
     for pages in books_pages.values():
-        pages.sort(key=lambda p: (p.opening_id, p.side))
-        resolved = infer_sequence(pages, chrono_cfg).pages
-        for i, (page, obs) in enumerate(zip(resolved, pages)):
+        resolved = book_years(pages, options).pages
+        for i, page in enumerate(resolved):
             key = (page.opening_id, page.side)
             if page.year is None:
                 years_pred_rule[key] = set()
@@ -338,7 +359,7 @@ def eval_reports(
             upper = page.year
             if i + 1 < len(resolved) and resolved[i + 1].year is not None:
                 upper = max(upper, resolved[i + 1].year)
-            kept = {y for y in obs.years() if page.year <= y <= upper}
+            kept = {y for y in years_pred_raw[key] if page.year <= y <= upper}
             years_pred_rule[key] = {page.year} | kept
 
     r = ev.round_half_up
@@ -405,65 +426,50 @@ class BookResult:
 def process_book(
     book_id: str, paths: Sequence[str], options: PipelineOptions
 ) -> BookResult:
-    """Run the full extraction pipeline over one book's document files."""
-    summary: Counter = Counter()
-    failures: list[tuple[str, str]] = []
-    openings: list[OpeningResult] = []
-    for path in sorted(paths):
-        try:
-            doc = read_document(path)
-            openings.append(process_opening(doc, options))
-            summary["openings_processed"] += 1
-            failures += [(str(path), failure) for failure in openings[-1].failures]
-        except Exception as exc:
-            log.warning("opening %s failed: %s", path, exc)
-            failures.append((str(path), str(exc)))
-            summary["openings_failed"] += 1
-    openings.sort(key=lambda o: o.opening_id)
-    for opening in openings:
-        summary.update(opening.stats)
+    """Run the full extraction pipeline over one book's document files.
 
-    sequence = resolve_years(
-        [opening.pages[side] for opening in openings for side in ("left", "right")], options
-    )
+    The summary counts only what happened: it holds no zero value.
+    """
+    done, read_failures = read_book(paths, lambda doc: process_opening(doc, options))
+    openings = sorted(done.values(), key=lambda o: o.opening_id)
+    sequence = book_years((opening.pages for opening in openings), options)
     resolved = {(p.opening_id, p.side): p for p in sequence.pages}
-    for page in sequence.pages:
-        summary[f"year_{page.source}"] += 1
 
     mode = options.direction_mode(book_id)
     records: list[MigrationRecord] = []
     for opening in openings:
         schema = options.schemas.get(opening.layout_type)
         for side, grid in opening.grids:
-            page = resolved.get((opening.opening_id, side))
-            year = page.year if page is not None else None
-            year_inferred = page is not None and page.source != "observed" and year is not None
+            page = resolved[(opening.opening_id, side)]  # every opening's pages are resolved
+            year_inferred = page.source != "observed" and page.year is not None
             direction = mode if mode in ("in", "out") else ("in" if side == "left" else "out")
-            rows = assemble_records(
-                grid,
-                year,
-                direction,
-                schema,
-                side,
-                book_id=book_id,
-                opening_id=opening.opening_id,
-                year_inferred=year_inferred,
-            )
-            records.extend(rows)
-    summary["records"] += len(records)
-    for record in records:
-        if "realigned" in record.flags:
-            summary["rows_realigned"] += 1
-        if "repetition_filled" in record.flags:
-            summary["rows_repetition_filled"] += 1
-        if "inferred_cell" in record.flags:
-            summary["rows_with_inferred_cells"] += 1
-
+            records += assemble_records(grid, page.year, direction, schema, side, book_id=book_id,
+                                        opening_id=opening.opening_id, year_inferred=year_inferred)
+    methods: Counter = Counter()
     if options.gazetteer is not None:
         records, methods = match_parishes(records, options.gazetteer, options.max_rel_dist)
-        summary.update({f"parish_{method}": n for method, n in methods.items()})
 
-    return BookResult(book_id=book_id, records=records, summary=summary, failures=failures)
+    grids = [grid for opening in openings for _, grid in opening.grids]
+    grid_failures = [(path, failure) for path, o in done.items() for failure in o.failures]
+    flags = Counter(flag for record in records for flag in record.flags)
+    summary = Counter(
+        openings_processed=len(openings),
+        openings_failed=len(read_failures),
+        tables=len(grids),
+        tables_without_cells=sum(not t.cells for o in openings for _, t in o.tables),
+        grids_failed=len(grid_failures),
+        cells_detected=sum(grid.count_provenance("detected") for grid in grids),
+        cells_inferred=sum(grid.count_provenance("inferred") for grid in grids),
+        cells_residual=sum(len(grid.residual) for grid in grids),
+        records=len(records),
+        rows_realigned=flags["realigned"],
+        rows_repetition_filled=flags["repetition_filled"],
+        rows_with_inferred_cells=flags["inferred_cell"],
+    )
+    summary.update(f"year_{page.source}" for page in sequence.pages)
+    summary.update({f"parish_{method}": n for method, n in methods.items()})
+    failures = sorted(grid_failures + read_failures, key=lambda f: f[0])  # in path order
+    return BookResult(book_id=book_id, records=records, summary=+summary, failures=failures)
 
 
 def group_documents_by_book(paths: Sequence[str]) -> dict[str, list[str]]:

@@ -221,6 +221,22 @@ def test_a_failed_grid_costs_only_its_table(corpus, tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("truncated", [False, True])
+def test_extract_summary_counts_hold_no_zero(corpus, tmp_path, truncated):
+    in_dir = tmp_path / "docs"
+    shutil.copytree(corpus["paths"]["observed"], in_dir)
+    if truncated:
+        path = sorted(in_dir.glob("*.jsonl"))[3]
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+    out_path = tmp_path / "records.csv"
+    code = cmd_extract(str(in_dir), str(out_path), standard_options(corpus["paths"]), workers=1)
+    assert code == (EXIT_PARTIAL if truncated else EXIT_OK)
+    counts = json.loads((tmp_path / "records.csv.summary.json").read_text())["counts"]
+    assert counts.get("openings_failed", 0) == int(truncated)
+    assert {key: n for key, n in counts.items() if n == 0} == {}
+
+
 def test_extract_empty_directory_is_fatal(tmp_path):
     assert cmd_extract(str(tmp_path), str(tmp_path / "r.csv"), PipelineOptions()) == EXIT_FATAL
 
@@ -309,6 +325,24 @@ def test_years_builds_no_grids(corpus, tmp_path, monkeypatch):
     out_path = tmp_path / "years.csv"
     assert cmd_years(corpus["paths"]["observed"], str(out_path), ChronoConfig()) == EXIT_OK
     assert out_path.read_bytes() == expected.read_bytes()
+
+
+def test_records_take_the_page_years_of_the_years_command(tmp_path):
+    books = [generate_book(SynthConfig(seed=s, **NOISY), 8) for s in (71, 72)]
+    paths = write_corpus(books, tmp_path / "corpus")
+    records_path, years_path = tmp_path / "records.jsonl", tmp_path / "years.csv"
+    options = standard_options(paths)
+    assert cmd_extract(paths["observed"], str(records_path), options, workers=1,
+                       records_format="jsonl") == EXIT_OK
+    assert cmd_years(paths["observed"], str(years_path), ChronoConfig()) == EXIT_OK
+    pages = {(row["opening_id"], row["side"]): row for row in read_csv_rows(years_path)}
+    assert {row["source"] for row in pages.values()} > {"observed"}  # the DP does some work
+    records = read_records(str(records_path), format="jsonl")
+    assert {(r.opening_id, r.page_side) for r in records} == set(pages)
+    for record in records:
+        page = pages[(record.opening_id, record.page_side)]
+        assert str(record.year) == page["year"]
+        assert ("year_inferred" in record.flags) == (page["source"] != "observed")
 
 
 def broken_document(observed_dir, kind):
@@ -1046,9 +1080,10 @@ def test_eval_grid_failure_names_the_opening(corpus, tmp_path, caplog, monkeypat
     monkeypatch.setattr("migrec.pipeline.complete_grid_with_retry", failing_grid)
     with caplog.at_level("WARNING", logger="migrec.pipeline"):
         code = cmd_eval(corpus["paths"]["observed"], corpus["paths"]["gold"], str(tmp_path))
-    assert code == EXIT_OK
+    assert code == EXIT_PARTIAL
     opening_id = read_document(sorted(Path(corpus["paths"]["gold"]).glob("*.jsonl"))[0]).opening_id
     assert f"opening {opening_id}: table 0: grid reconstruction failed: no bands" in caplog.text
+    assert "grid reconstruction failed for 60 tables" in caplog.text  # 15 openings, both documents
     rows = read_csv_rows(tmp_path / "detection_metrics.csv")
     assert [row["category"] for row in rows] == ["tables", "tables"]
 

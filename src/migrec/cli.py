@@ -165,6 +165,13 @@ def _load_book_directions(path: str | None) -> dict[str, str]:
     return directions
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which may be fewer than the host has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _document_paths(in_dir: str) -> list[str]:
     return sorted(str(p) for p in Path(in_dir).rglob("*.jsonl"))
 
@@ -183,13 +190,15 @@ def cmd_extract(
     share-nothing and merged in sorted order.  Per-opening failures are
     isolated and tallied; the run continues.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     paths = _document_paths(in_dir)
     if not paths:
         log.error("no document files (*.jsonl) under %s", in_dir)
         return EXIT_FATAL
     groups = group_documents_by_book(paths)  # in book order, which map keeps
     books = (groups, groups.values(), repeat(options))
-    if workers <= 1:
+    if workers == 1:
         results = list(map(process_book, *books))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -560,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
                 corrector=corrector,
                 **_given(args, "max_rel_dist"),
             )
-            workers = (os.cpu_count() or 1) if args.workers is None else args.workers
+            workers = _usable_cpus() if args.workers is None else args.workers
             return cmd_extract(
                 args.in_dir, args.out_path, options, workers=workers,
                 summary_path=args.summary_path, **_given(args, records_format="format"),

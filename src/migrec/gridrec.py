@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Literal, Sequence
 
-from .interchange import Box, CellHypothesis
+from .interchange import Box, CellHypothesis, value_type
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ class Band:
         return (self.start + self.end) / 2.0
 
 
-@dataclass(frozen=True)
+@value_type
 class GridCell:
     hyp: CellHypothesis
     provenance: str  # "detected" or "inferred"
@@ -263,9 +263,10 @@ def _band_index(bands: Sequence[Band], coord: float) -> list[int]:
     return [i for i, b in enumerate(bands) if b.start <= coord <= b.end]
 
 
-def _overlap_area(box: Box, slot: Box) -> float:
-    w = min(box.x_max, slot.x_max) - max(box.x_min, slot.x_min)
-    h = min(box.y_max, slot.y_max) - max(box.y_min, slot.y_min)
+def _band_overlap(box: Box, row: Band, col: Band) -> float:
+    """Overlap area of ``box`` with the slot where ``row`` and ``col`` cross."""
+    w = min(box.x_max, col.end) - max(box.x_min, col.start)
+    h = min(box.y_max, row.end) - max(box.y_min, row.start)
     return max(w, 0.0) * max(h, 0.0)
 
 
@@ -296,25 +297,27 @@ def complete_grid(table_box: Box, cells: Sequence[CellHypothesis], cfg: GridConf
     ]
     residual: list[CellHypothesis] = []
     for idx, cell in enumerate(cells):
-        center = cell.box.center
-        row_hits = _band_index(rows, center.y)
-        col_hits = _band_index(cols, center.x)
+        box = cell.box
+        row_hits = _band_index(rows, (box.y_min + box.y_max) / 2.0)
+        col_hits = _band_index(cols, (box.x_min + box.x_max) / 2.0)
         if not row_hits or not col_hits:
             residual.append(cell)
             continue
-        r, c = max(
-            ((rr, cc) for rr in row_hits for cc in col_hits),
-            key=lambda rc: _overlap_area(cell.box, _slot_box(rows, cols, rc[0], rc[1])),
-        )
+        if len(row_hits) == 1 and len(col_hits) == 1:
+            r, c = row_hits[0], col_hits[0]
+        else:
+            r, c = max(
+                ((rr, cc) for rr in row_hits for cc in col_hits),
+                key=lambda rc: _band_overlap(box, rows[rc[0]], cols[rc[1]]),
+            )
         incumbent = slots[r][c]
         if incumbent is None:
             slots[r][c] = (cell, idx)
             continue
-        slot = _slot_box(rows, cols, r, c)
-        challenger_key = (cell.box.confidence, _overlap_area(cell.box, slot), -idx)
+        challenger_key = (box.confidence, _band_overlap(box, rows[r], cols[c]), -idx)
         incumbent_key = (
             incumbent[0].box.confidence,
-            _overlap_area(incumbent[0].box, slot),
+            _band_overlap(incumbent[0].box, rows[r], cols[c]),
             -incumbent[1],
         )
         if challenger_key > incumbent_key:

@@ -9,14 +9,24 @@ extracted records are written as CSV (RFC 4180 quoting) or JSON lines.
 All types are immutable values.  Coordinates are in original-image pixel
 space with the origin at the top-left corner and y growing downward;
 de-skewed coordinates are derived, never persisted.
+
+The small types built by the hundred per opening (points, boxes, texts,
+cells, tables, year detections) are declared with :func:`value_type`: a
+frozen, slotted dataclass whose ``__init__`` stores each field through its
+slot descriptor.  The stdlib's frozen ``__init__`` goes through
+``object.__setattr__`` for every field, which costs about twice as much,
+and reading, de-skewing and grid completion build these values for every
+cell.  Equality, hashing, ``repr``, ``dataclasses.replace`` and pickling
+stay the stdlib's own, and any assignment raises ``FrozenInstanceError``.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -62,13 +72,69 @@ class ValidationError(InterchangeError):
     """Raised when a parsed value violates a documented invariant."""
 
 
-@dataclass(frozen=True)
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def value_type(cls):
+    """Make ``cls`` a ``@dataclass(frozen=True, slots=True)`` with a direct ``__init__``.
+
+    The generated ``__init__`` takes the fields in order, with their
+    defaults, and stores each one through its slot descriptor's ``__set__``,
+    as the stdlib's would through ``object.__setattr__``.  Anything that
+    ``__init__`` would have to run besides storing its arguments is refused
+    with ``TypeError`` rather than skipped: ``__post_init__``, a
+    ``default_factory``, and ``InitVar``, keyword-only or ``init=False``
+    fields.
+
+    Assigning or deleting any attribute raises ``FrozenInstanceError``.  The
+    stdlib's frozen ``__setattr__`` does so only for field names once
+    ``slots=True`` has replaced the class; any other name reaches a
+    ``super()`` call bound to the replaced class and fails with a
+    ``TypeError``.
+    """
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"value type {cls.__name__} must not define __post_init__")
+    cls = dataclass(frozen=True, slots=True)(cls)
+    own = fields(cls)
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    if [p.name for p in params] != [f.name for f in own] or any(
+        p.kind is not p.POSITIONAL_OR_KEYWORD for p in params
+    ):
+        raise TypeError(f"value type {cls.__name__} allows only plain positional fields")
+    if any(f.default_factory is not MISSING for f in own):
+        raise TypeError(f"value type {cls.__name__} must not use default_factory")
+    namespace = {}
+    args = []
+    for f in own:
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            args.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            args.append(f"{f.name}=_default_{f.name}")
+    body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in own)
+    exec(f"def __init__(self, {', '.join(args)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+@value_type
 class Point:
     x: float
     y: float
 
 
-@dataclass(frozen=True)
+@value_type
 class Box:
     """Axis-aligned detection box with a confidence in [0, 1]."""
 
@@ -114,7 +180,7 @@ class OpeningKeypoints:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
 
 
-@dataclass(frozen=True)
+@value_type
 class TextHypothesis:
     """Recognized text with confidence; '?' marks unreadable characters."""
 
@@ -122,13 +188,13 @@ class TextHypothesis:
     confidence: float = 1.0
 
 
-@dataclass(frozen=True)
+@value_type
 class CellLine:
     box: Box
     text: TextHypothesis
 
 
-@dataclass(frozen=True)
+@value_type
 class CellHypothesis:
     """A detected table cell with its class distribution and text.
 
@@ -143,13 +209,13 @@ class CellHypothesis:
     lines: tuple[CellLine, ...] = ()
 
 
-@dataclass(frozen=True)
+@value_type
 class TableDetection:
     box: Box
     cells: tuple[CellHypothesis, ...] = ()
 
 
-@dataclass(frozen=True)
+@value_type
 class YearDetection:
     box: Box
     text: TextHypothesis

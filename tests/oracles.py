@@ -11,7 +11,9 @@ same errors; ``read_records_reference`` keeps the two record readers, one
 per format, as they were before one record check served both.
 ``cmd_eval_reference`` keeps the eval command as it was when
 it scored every document inline, verbatim: the eval reports must stay the
-same bytes.
+same bytes.  ``complete_grid_reference`` keeps grid completion's slot
+placement as it was when it scored every candidate slot through a slot
+``Box``: the placed cells and the residuals must stay the same.
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from migrec.cells import cell_text
 from migrec.chrono import ChronoConfig, PageObservations, evaluate_years, infer_sequence
 from migrec.cli import EXIT_FATAL, EXIT_OK, _document_paths
 from migrec.geometry import PointAtInfinityError, angle_stats, apply_point, edge_angle_from_vertical
-from migrec.gridrec import GridConfig, complete_grid_with_retry
+from migrec.gridrec import (
+    EMPTY_PRIOR,
+    GridConfig,
+    GridCell,
+    GridError,
+    GridTable,
+    cluster_bands,
+    complete_grid_with_retry,
+)
 from migrec.interchange import (
     CELL_CLAMP_TOLERANCE,
     LAYOUT_TYPES,
@@ -699,6 +709,86 @@ def _read_jsonl_records_reference(path: str) -> list[MigrationRecord]:
             validate_record(record, f"{where}: record")
             records.append(record)
     return records
+
+
+# ---------------------------------------------------------------------------
+# Grid completion, placing each cell by scoring slot boxes
+# ---------------------------------------------------------------------------
+
+
+def _overlap_area_reference(box: Box, slot: Box) -> float:
+    w = min(box.x_max, slot.x_max) - max(box.x_min, slot.x_min)
+    h = min(box.y_max, slot.y_max) - max(box.y_min, slot.y_min)
+    return max(w, 0.0) * max(h, 0.0)
+
+
+def _slot_box_reference(rows, cols, r: int, c: int) -> Box:
+    return Box(cols[c].start, rows[r].start, cols[c].end, rows[r].end, 0.0)
+
+
+def complete_grid_reference(table_box: Box, cells, cfg: GridConfig) -> GridTable:
+    """``complete_grid`` with every candidate slot scored as a ``Box``."""
+    if not cells:
+        raise GridError("complete_grid requires at least one detected cell")
+    boxes = [c.box for c in cells]
+    rows = cluster_bands(boxes, "row", cfg)
+    cols = cluster_bands(boxes, "col", cfg)
+    slots = [[None] * len(cols) for _ in rows]
+    residual = []
+    for idx, cell in enumerate(cells):
+        center = cell.box.center
+        row_hits = [i for i, b in enumerate(rows) if b.start <= center.y <= b.end]
+        col_hits = [i for i, b in enumerate(cols) if b.start <= center.x <= b.end]
+        if not row_hits or not col_hits:
+            residual.append(cell)
+            continue
+        r, c = max(
+            ((rr, cc) for rr in row_hits for cc in col_hits),
+            key=lambda rc: _overlap_area_reference(
+                cell.box, _slot_box_reference(rows, cols, rc[0], rc[1])
+            ),
+        )
+        incumbent = slots[r][c]
+        if incumbent is None:
+            slots[r][c] = (cell, idx)
+            continue
+        slot = _slot_box_reference(rows, cols, r, c)
+        challenger_key = (cell.box.confidence, _overlap_area_reference(cell.box, slot), -idx)
+        incumbent_key = (
+            incumbent[0].box.confidence,
+            _overlap_area_reference(incumbent[0].box, slot),
+            -incumbent[1],
+        )
+        if challenger_key > incumbent_key:
+            residual.append(incumbent[0])
+            slots[r][c] = (cell, idx)
+        else:
+            residual.append(cell)
+
+    matrix = []
+    for r in range(len(rows)):
+        row_cells = []
+        for c in range(len(cols)):
+            placed = slots[r][c]
+            if placed is not None:
+                row_cells.append(GridCell(placed[0], "detected"))
+            else:
+                row_cells.append(
+                    GridCell(
+                        CellHypothesis(
+                            box=_slot_box_reference(rows, cols, r, c), class_probs=EMPTY_PRIOR
+                        ),
+                        "inferred",
+                    )
+                )
+        matrix.append(tuple(row_cells))
+    return GridTable(
+        table_box=table_box,
+        rows=tuple(rows),
+        cols=tuple(cols),
+        cells=tuple(matrix),
+        residual=tuple(residual),
+    )
 
 
 # ---------------------------------------------------------------------------

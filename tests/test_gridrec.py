@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from migrec import gridrec, interchange
 from migrec.gridrec import (
     Band,
     BandPairingError,
@@ -18,7 +20,7 @@ from migrec.gridrec import (
 )
 from migrec.interchange import Box, CellHypothesis
 
-from oracles import dbscan_reference
+from oracles import complete_grid_reference, dbscan_reference
 
 
 def det_cell(x0, y0, x1, y1, confidence=0.9):
@@ -249,6 +251,117 @@ def test_retry_relaxes_eps_once():
     cfg = GridConfig(eps_row=4.0, eps_col=4.0)
     table = complete_grid_with_retry(Box(0, 0, 1000, 1000, 1.0), boxes, cfg)
     assert (table.n_rows, table.n_cols) == (3, 3)
+
+
+# --- slot placement against the slot-box reference ---------------------------
+
+CELL_W, CELL_H = 60.0, 30.0
+EXTRA_KINDS = ("duplicate", "col-edge", "row-edge", "corner")
+
+
+def placement_layout(n_rows, n_cols, gap, borders, extras):
+    """Cells of an ``n_rows`` x ``n_cols`` grid, plus extra cells.
+
+    ``borders`` gives each slot's ``(dx0, dy0, dx1, dy1, confidence)`` border
+    jitter, or ``None`` for a dropped cell.  With ``gap`` 0 neighbouring
+    bands share an edge.  Each extra ``(kind, k, confidence, shift)`` is a
+    second cell in slot ``k`` (``duplicate``) or a cell centred on the
+    right, lower or lower-right edge of slot ``k``: on a shared band edge
+    when ``gap`` is 0 and nothing is jittered, so its centre hits two bands.
+    """
+    pitch_x, pitch_y = CELL_W + gap, CELL_H + gap
+    cells = []
+    for i, jitter in enumerate(borders):
+        if jitter is not None:
+            r, c = divmod(i, n_cols)
+            dx0, dy0, dx1, dy1, confidence = jitter
+            x0, y0 = c * pitch_x, r * pitch_y
+            cells.append(det_cell(x0 + dx0, y0 + dy0, x0 + CELL_W + dx1, y0 + CELL_H + dy1, confidence))
+    for kind, k, confidence, shift in extras:
+        r, c = divmod(k % (n_rows * n_cols), n_cols)
+        x0, y0 = c * pitch_x, r * pitch_y
+        if kind == "duplicate":
+            x0, y0 = x0 + shift, y0 + shift
+        if kind in ("col-edge", "corner"):
+            x0 += CELL_W / 2 + gap / 2
+        if kind in ("row-edge", "corner"):
+            y0 += CELL_H / 2 + gap / 2
+        cells.append(det_cell(x0, y0, x0 + CELL_W, y0 + CELL_H, confidence))
+    return cells
+
+
+@st.composite
+def placement_layouts(draw):
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    jitter = st.sampled_from((0.0, 0.0, 0.0, -0.25, 0.25, -1.5, 1.5))
+    confidence = st.sampled_from((0.5, 0.9))
+    slot = st.tuples(jitter, jitter, jitter, jitter, confidence)
+    borders = draw(
+        st.lists(st.one_of(slot, slot, slot, st.none()), min_size=n_rows * n_cols,
+                 max_size=n_rows * n_cols)
+    )
+    extras = draw(
+        st.lists(st.tuples(st.sampled_from(EXTRA_KINDS), st.integers(0, 15), confidence,
+                           st.sampled_from((0.0, 2.0, -3.0))), max_size=3)
+    )
+    return n_rows, n_cols, draw(st.sampled_from((0.0, 0.0, 5.0))), borders, extras
+
+
+def grid_or_error(complete, cells):
+    try:
+        return complete(Box(-100, -100, 1000, 1000, 1.0), cells, GridConfig())
+    except GridError as exc:
+        return type(exc), str(exc)
+
+
+EXACT = (0.0, 0.0, 0.0, 0.0, 0.9)
+# 2 x 3 abutting cells; one cell centred on the edge shared by columns 0 and
+# 1, one on the corner of four slots, and a low- and an equal-confidence
+# second cell for slot (1, 2)
+SHARED_EDGES = (
+    2, 3, 0.0, [EXACT] * 6,
+    [("col-edge", 0, 0.9, 0.0), ("corner", 1, 0.5, 0.0), ("duplicate", 5, 0.5, 2.0),
+     ("duplicate", 5, 0.9, -3.0)],
+)
+
+
+def test_placement_layout_puts_centres_on_shared_edges_and_contests_a_slot():
+    cells = placement_layout(*SHARED_EDGES)
+    table = complete_grid(Box(-100, -100, 1000, 1000, 1.0), cells, GridConfig())
+    hits = [
+        (sum(b.start <= (c.box.y_min + c.box.y_max) / 2 <= b.end for b in table.rows),
+         sum(b.start <= (c.box.x_min + c.box.x_max) / 2 <= b.end for b in table.cols))
+        for c in cells
+    ]
+    assert hits[6:8] == [(1, 2), (2, 2)]
+    assert (table.n_rows, table.n_cols) == (2, 3)
+    assert len(table.residual) == 4  # both edge cells lose to exact ones, and both second cells
+    assert table == complete_grid_reference(Box(-100, -100, 1000, 1000, 1.0), cells, GridConfig())
+
+
+def test_complete_grid_builds_values_only_for_inferred_cells(monkeypatch):
+    built = Counter()
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built[cls.__name__] += 1
+            return cls(*args, **kwargs)
+        return build
+
+    cells = grid_cells(3, 3, skip={(1, 1)}) + [det_cell(105, 205, 245, 255, confidence=0.2)]
+    for module, name in ((gridrec, "Box"), (gridrec, "CellHypothesis"), (interchange, "Point")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    table = complete_grid(Box(0, 0, 1000, 1000, 1.0), cells, GridConfig())
+    assert table.count_provenance("inferred") == 1 and len(table.residual) == 1
+    assert built == Counter(Box=1, CellHypothesis=1)
+
+
+@given(placement_layouts())
+@example(SHARED_EDGES)
+@settings(max_examples=300, deadline=None)
+def test_complete_grid_places_cells_as_the_slot_box_reference(layout):
+    cells = placement_layout(*layout)
+    assert grid_or_error(complete_grid, cells) == grid_or_error(complete_grid_reference, cells)
 
 
 # --- merge_split_tables -------------------------------------------------------

@@ -1,6 +1,8 @@
 import copy
 import csv
+import dataclasses
 import json
+import pickle
 import random
 import re
 from collections import Counter
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from migrec.gridrec import GridCell
 from migrec.interchange import (
     Box,
     CellHypothesis,
@@ -29,6 +32,7 @@ from migrec.interchange import (
     read_document,
     read_records,
     validate_document,
+    value_type,
     write_document,
     write_json,
     write_records,
@@ -138,6 +142,88 @@ def test_class_probs_renormalized_within_tolerance():
 def test_dominant_class_priority_order():
     assert dominant_class((0.25, 0.25, 0.25, 0.25)) == "single_line"
     assert dominant_class((0.0, 0.0, 0.0, 1.0)) == "empty"
+
+
+# --- value types -----------------------------------------------------------
+
+_BOX = Box(1.0, 2.0, 30.0, 40.0, 0.5)
+_TEXT = TextHypothesis("Anna", 0.8)
+_CELL = CellHypothesis(_BOX, (0.7, 0.1, 0.1, 0.1), _TEXT, (CellLine(_BOX, _TEXT),))
+# each value type with arguments for every field and a changed first field
+VALUE_TYPE_ARGS = {
+    Point: ((3.0, -4.5), 7.0),
+    Box: ((1.0, 2.0, 30.0, 40.0, 0.5), 0.0),
+    TextHypothesis: (("Anna", 0.8), "Anders"),
+    CellLine: ((_BOX, _TEXT), Box(0.0, 0.0, 1.0, 1.0)),
+    CellHypothesis: ((_BOX, (0.7, 0.1, 0.1, 0.1), _TEXT, (CellLine(_BOX, _TEXT),)), Box(5, 5, 9, 9)),
+    TableDetection: ((_BOX, (_CELL, _CELL)), Box(0.0, 0.0, 100.0, 100.0)),
+    YearDetection: ((_BOX, TextHypothesis("1787")), Box(0.0, 0.0, 10.0, 10.0)),
+    GridCell: ((_CELL, "detected"), CellHypothesis(_BOX, (0.0, 0.0, 0.0, 1.0))),
+}
+
+
+def frozen_twin(cls):
+    """A plain ``@dataclass(frozen=True)`` with the fields and defaults of ``cls``."""
+    specs = [
+        (f.name, f.type) if f.default is dataclasses.MISSING
+        else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+
+
+@pytest.mark.parametrize("cls", list(VALUE_TYPE_ARGS), ids=lambda cls: cls.__name__)
+def test_value_types_behave_as_plain_frozen_dataclasses(cls):
+    args, other_first = VALUE_TYPE_ARGS[cls]
+    twin = frozen_twin(cls)
+    value, changed = cls(*args), cls(other_first, *args[1:])
+    twin_value, twin_changed = twin(*args), twin(other_first, *args[1:])
+    assert (value == cls(*args), value == changed) == (True, False)
+    assert (twin_value == twin(*args), twin_value == twin_changed) == (True, False)
+    assert hash(value) == hash(twin_value) and hash(changed) == hash(twin_changed)
+    assert repr(value) == repr(twin_value) and repr(changed) == repr(twin_changed)
+    assert value == cls(**{f.name: a for f, a in zip(dataclasses.fields(cls), args)})
+    # fields, defaults and replace
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == [f.name for f in dataclasses.fields(twin)]
+    required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(cls))
+    assert repr(cls(*args[:required])) == repr(twin(*args[:required]))
+    assert dataclasses.replace(value, **{names[0]: other_first}) == changed
+    # frozen, pickled, slotted
+    for name in [*names, "extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError) as assigned:
+            setattr(value, name, other_first)
+        with pytest.raises(dataclasses.FrozenInstanceError) as twin_assigned:
+            setattr(twin_value, name, other_first)
+        assert str(assigned.value) == str(twin_assigned.value)
+        with pytest.raises(dataclasses.FrozenInstanceError) as deleted:
+            delattr(value, name)
+        with pytest.raises(dataclasses.FrozenInstanceError) as twin_deleted:
+            delattr(twin_value, name)
+        assert str(deleted.value) == str(twin_deleted.value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    assert copy.copy(value) == value and copy.deepcopy(value) == value
+    assert not hasattr(value, "__dict__")
+    # the constructor stores through the slots, not object.__setattr__
+    assert "__setattr__" not in cls.__init__.__code__.co_names
+    assert "__setattr__" in twin.__init__.__code__.co_names
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("x: list = dataclasses.field(default_factory=list)", "default_factory"),
+     ("x: float\n    def __post_init__(self): pass", "__post_init__"),
+     ("x: dataclasses.InitVar[int]", "plain positional"),
+     ("x: float = dataclasses.field(default=0.0, kw_only=True)", "plain positional"),
+     ("x: float = dataclasses.field(default=0.0, init=False)", "plain positional")],
+    ids=["default-factory", "post-init", "initvar", "kw-only", "no-init"],
+)
+def test_value_type_refuses_what_its_constructor_would_skip(body, message):
+    namespace = {"dataclasses": dataclasses}
+    exec(f"class Refused:\n    {body}", namespace)
+    with pytest.raises(TypeError, match=message):
+        value_type(namespace["Refused"])
 
 
 # --- generated documents -------------------------------------------------

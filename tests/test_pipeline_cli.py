@@ -751,6 +751,31 @@ def test_workers_and_format_come_from_the_flag_then_the_config(cli_corpus, tmp_p
     assert [(kw["workers"], kw["records_format"]) for kw in seen] == [(3, "jsonl"), (0, "csv")]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_a_worker_count_below_one_is_fatal(cli_corpus, tmp_path, caplog, workers):
+    records = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        cmd_extract(str(cli_corpus / "observed"), str(records), PipelineOptions(), workers=int(workers))
+    code = main(["extract", str(cli_corpus / "observed"), str(records), "--workers", workers])
+    assert code == EXIT_FATAL
+    assert "fatal: workers must be at least 1" in caplog.text
+    assert not records.exists()
+
+
+def test_the_default_worker_count_is_the_cpus_this_process_may_run_on(
+    cli_corpus, tmp_path, monkeypatch
+):
+    seen = []
+    monkeypatch.setattr("migrec.cli.cmd_extract", lambda *a, **kw: seen.append(kw["workers"]))
+    monkeypatch.setattr("migrec.cli.os.cpu_count", lambda: 64)
+    args = ["extract", str(cli_corpus / "observed"), str(tmp_path / "r.csv")]
+    monkeypatch.setattr("migrec.cli.os.sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    main(args)
+    monkeypatch.delattr("migrec.cli.os.sched_getaffinity")  # a platform without affinity
+    main(args)
+    assert seen == [3, 64]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [(None, "No such file or directory"),

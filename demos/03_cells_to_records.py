@@ -1,18 +1,13 @@
 """From a classified cell grid to migration records.
 
-Cells are routed by type (empty and repetition cells never reach text
-recognition), repetition marks are filled from the nearest filled cell
-above, rows are aligned against the expected column layout, and each
-non-empty row becomes one migration record.
+Repetition marks are filled from the nearest filled cell above, rows are
+aligned against the expected column layout, and each non-empty row becomes
+one migration record.
 """
 
-from migrec import ColumnSchema, assemble_records, fill_repetitions, realign_columns, route_cells
-from migrec.cells import classify_cell
+from migrec import ColumnSchema, assemble_records, fill_repetitions, realign_columns
 from migrec.gridrec import Band, GridCell, GridTable
 from migrec.interchange import Box, CellHypothesis, TextHypothesis
-
-print("classify:", classify_cell((0.9, 0.05, 0.03, 0.02)),
-      "| tie:", classify_cell((0.25, 0.25, 0.25, 0.25)))
 
 column = [
     ("single_line", "Rautalampi"),
@@ -64,9 +59,8 @@ grid = GridTable(
     cells=matrix,
 )
 
-print(f"\nrecognition tasks (empty/repetition excluded): {len(route_cells(grid))}")
 records = assemble_records(grid, 1878, "in", schema, "left", book_id="demo", opening_id="op0001")
-print(f"records from a 3-row grid with one all-empty row: {len(records)}")
+print(f"\nrecords from a 3-row grid with one all-empty row: {len(records)}")
 for record in records:
     flags = ",".join(sorted(record.flags)) or "-"
     print(f"  {record.year} {record.direction:3} parish={record.parish_raw!r:14} flags={flags}")

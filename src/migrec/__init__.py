@@ -2,7 +2,7 @@
 
 The library reconstructs tabular records from the detection primitives
 produced over scanned parish register openings: projective de-skew from six
-keypoints, DBSCAN-based table-grid reconstruction, cell-type routing with
+keypoints, DBSCAN-based table-grid reconstruction, record assembly with
 repetition fill and column realignment, book-level year-sequence inference,
 parish name normalization against a gazetteer, and a complete evaluation
 harness.  A synthetic opening generator with full ground truth serves as
@@ -50,10 +50,8 @@ from .gridrec import (
 from .cells import (
     ColumnSchema,
     assemble_records,
-    classify_cell,
     fill_repetitions,
     realign_columns,
-    route_cells,
 )
 from .chrono import (
     BookYearSequence,
@@ -77,7 +75,6 @@ from .evaluation import (
     MetricRow,
     cer,
     class_report,
-    corpus_exact_match,
     edit_distance,
     exact_match,
     f1_score,

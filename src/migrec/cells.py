@@ -1,11 +1,11 @@
-"""Cell-type routing, repetition fill, column realignment, record assembly.
+"""Repetition fill, column realignment and record assembly.
 
 Cells come in four types: single-line, multi-line, repetition (a ditto mark
-copying the nearest filled cell above) and empty.  Empty and repetition
-cells are excluded from text recognition; repetition cells are filled from
-their column afterwards.  Rows whose column count or content does not match
-the expected table layout are realigned with simple data-type and text
-length heuristics before being turned into migration records.
+copying the nearest filled cell above) and empty.  A cell's text comes from
+its detection document; repetition cells are filled from their column.
+Rows whose column count or content does not match the expected table layout
+are realigned with simple data-type and text length heuristics before being
+turned into migration records.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from typing import Sequence
 
 from .interchange import (
     CELL_CLASSES,
-    Box,
     CellHypothesis,
     MigrationRecord,
     content_lines,
     dominant_class,
-    normalize_class_probs,
 )
 from .gridrec import GridTable
 
@@ -36,53 +34,6 @@ MONTH_TOKENS = (
 )
 
 _DATE_NUMERIC = re.compile(r"^\s*([0-3]?\d)\s*[./\s]\s*([01]?\d)\s*[./]?\s*$")
-
-
-def classify_cell(probs: Sequence[float]) -> str:
-    """Most likely cell type; ties broken single > multi > repetition > empty.
-
-    Validates ``probs`` first.  Routing and assembly read grid cells with
-    ``dominant_class`` instead: those were validated when their document
-    was read, or carry the constant ``EMPTY_PRIOR``.
-    """
-    normalize_class_probs(probs)
-    return dominant_class(probs)
-
-
-@dataclass(frozen=True)
-class RecognitionTask:
-    """One text-recognition work item: a cell (or one of its lines)."""
-
-    row: int
-    col: int
-    box: Box
-    line_index: int | None = None
-    downgraded: bool = False
-
-
-def route_cells(grid: GridTable) -> list[RecognitionTask]:
-    """Recognition tasks for a completed grid.
-
-    Empty and repetition cells are excluded so the recognizer never sees
-    content-free crops.  Single-line cells yield one task on the full cell;
-    multi-line cells yield one task per line box.  A multi-line cell without
-    line boxes is downgraded to a single full-cell task and flagged.
-    """
-    tasks: list[RecognitionTask] = []
-    for r, row in enumerate(grid.cells):
-        for c, cell in enumerate(row):
-            kind = dominant_class(cell.hyp.class_probs)
-            if kind in ("empty", "repetition"):
-                continue
-            if kind == "single_line":
-                tasks.append(RecognitionTask(r, c, cell.hyp.box))
-            else:
-                if not cell.hyp.lines:
-                    tasks.append(RecognitionTask(r, c, cell.hyp.box, downgraded=True))
-                    continue
-                for i, line in enumerate(cell.hyp.lines):
-                    tasks.append(RecognitionTask(r, c, line.box, line_index=i))
-    return tasks
 
 
 def fill_repetitions(

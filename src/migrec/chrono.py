@@ -22,7 +22,7 @@ import urllib.request
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Sequence
 
-from .evaluation import f1_score
+from .evaluation import EvalCounts, metrics
 from .interchange import Box
 
 log = logging.getLogger(__name__)
@@ -355,6 +355,7 @@ def evaluate_years(
         tp += len(pred_years & gold_years)
         fp += len(pred_years - gold_years)
         fn += len(gold_years - pred_years)
-    precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
-    recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-    return YearEvalResult(precision, recall, f1_score(precision, recall), tp, fp, fn, scored)
+    if not scored:
+        return YearEvalResult(0.0, 0.0, 0.0, tp, fp, fn, scored)
+    m = metrics(EvalCounts(tp, fp, fn))
+    return YearEvalResult(m.precision, m.recall, m.f1, tp, fp, fn, scored)

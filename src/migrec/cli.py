@@ -181,14 +181,15 @@ def cmd_extract(
     out_path: str,
     options: PipelineOptions,
     workers: int = 1,
-    records_format: str = "csv",
+    records_format: str | None = None,
     summary_path: str | None = None,
 ) -> int:
     """Extract records from every document under ``in_dir``; book-parallel.
 
     Output is deterministic for any worker count: books are processed
     share-nothing and merged in sorted order.  Per-opening failures are
-    isolated and tallied; the run continues.
+    isolated and tallied; the run continues.  Without ``records_format``
+    the format follows ``out_path``'s suffix, as ``normalize`` reads it.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -212,7 +213,7 @@ def cmd_extract(
         summary.update(result.summary)
         failures.extend(result.failures)
 
-    write_records(records, out_path, format=records_format)
+    write_records(records, out_path, format=records_format or _records_format(out_path))
     summary_obj = {
         "books": len(results),
         "openings_total": len(paths),

@@ -64,13 +64,6 @@ def exact_match(pred: str, ref: str) -> bool:
     return pred.strip() == ref.strip()
 
 
-def corpus_exact_match(pairs: Sequence[tuple[str, str]]) -> float:
-    """Percentage of (prediction, reference) pairs that match exactly."""
-    if not pairs:
-        return 0.0
-    return 100.0 * sum(1 for p, r in pairs if exact_match(p, r)) / len(pairs)
-
-
 def filter_unreadable(pairs: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
     """Drop pairs whose reference contains '?' (unreadable to the annotator)."""
     return [(p, r) for p, r in pairs if "?" not in r]

@@ -3,7 +3,7 @@
 A book is the unit of work: year inference is sequential over its pages,
 while distinct books are independent and can run in parallel workers.  Each
 opening goes through coordinate de-skew, grid completion (with one
-relaxed-eps retry), cell routing and repetition fill, then record assembly;
+relaxed-eps retry), repetition fill and record assembly;
 years are resolved once per book and parish names matched against the
 gazetteer at the end.
 
@@ -378,10 +378,8 @@ def eval_reports(
         if support := sum(confusion[(label, pred)] for pred in CELL_CLASSES):
             tp = confusion[(label, label)]
             predicted = sum(confusion[(gold, label)] for gold in CELL_CLASSES)
-            precision = 100.0 * tp / predicted if predicted else 0.0
-            recall = 100.0 * tp / support
-            f1 = ev.f1_score(precision, recall)
-            class_rows.append(ev.ClassRow(label, precision, recall, f1, support))
+            m = ev.metrics(ev.EvalCounts(tp, predicted - tp, support - tp))
+            class_rows.append(ev.ClassRow(label, m.precision, m.recall, m.f1, support))
     classes = []
     if class_rows:
         report = ev.class_report(class_rows)

@@ -203,10 +203,6 @@ class BookFixture:
     openings: tuple[OpeningFixture, ...]
     page_years: tuple[tuple[str, str, int], ...]  # (opening_id, side, year)
 
-    @property
-    def documents(self) -> list[DetectionDocument]:
-        return [opening.document for opening in self.openings]
-
 
 def _rotate(p: Point, center: Point, theta: float) -> Point:
     c, s = math.cos(theta), math.sin(theta)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,17 +6,23 @@ from migrec.cells import (
     ColumnSchema,
     assemble_records,
     cell_text,
-    classify_cell,
     fill_repetitions,
     is_date_text,
     is_numeric_text,
     read_schema_file,
     realign_columns,
-    route_cells,
     write_schema_file,
 )
 from migrec.gridrec import Band, GridCell, GridTable
-from migrec.interchange import Box, CellHypothesis, CellLine, TextHypothesis, ValidationError
+from migrec.interchange import (
+    Box,
+    CellHypothesis,
+    CellLine,
+    TextHypothesis,
+    ValidationError,
+    dominant_class,
+    normalize_class_probs,
+)
 
 from oracles import fill_repetitions_reference
 
@@ -68,21 +72,23 @@ def make_grid(spec, x0=0.0, y0=0.0, cw=100.0, ch=40.0, provenance=None):
     )
 
 
-# --- classify_cell -----------------------------------------------------------
+# --- cell type ----------------------------------------------------------------
+# Assembly reads a cell's type with ``dominant_class``; its ``class_probs``
+# were checked by ``normalize_class_probs`` when the document was read.
 
 
 def test_classify_clear_posterior():
-    assert classify_cell((0.9, 0.05, 0.03, 0.02)) == "single_line"
+    assert dominant_class((0.9, 0.05, 0.03, 0.02)) == "single_line"
 
 
 def test_classify_tie_priority():
-    assert classify_cell((0.25, 0.25, 0.25, 0.25)) == "single_line"
-    assert classify_cell((0.0, 0.5, 0.5, 0.0)) == "multi_line"
+    assert dominant_class((0.25, 0.25, 0.25, 0.25)) == "single_line"
+    assert dominant_class((0.0, 0.5, 0.5, 0.0)) == "multi_line"
 
 
 def test_classify_rejects_bad_distribution():
-    with pytest.raises(Exception):
-        classify_cell((0.9, 0.5, 0.0, 0.0))
+    with pytest.raises(ValidationError):
+        normalize_class_probs((0.9, 0.5, 0.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -95,7 +101,7 @@ def test_classify_rejects_bad_distribution():
 )
 def test_classify_raises_validation_error_with_path(probs, path):
     with pytest.raises(ValidationError) as err:
-        classify_cell(probs)
+        normalize_class_probs(probs)
     assert err.value.path == path
 
 
@@ -104,56 +110,9 @@ def test_classify_raises_validation_error_with_path(probs, path):
 def test_classify_matches_argmax_with_priority(raw):
     total = sum(raw)
     probs = tuple(v / total for v in raw)
-    got = classify_cell(probs)
+    got = dominant_class(probs)
     best = max(range(4), key=lambda i: (probs[i], -i))
     assert got == ("single_line", "multi_line", "repetition", "empty")[best]
-
-
-# --- route_cells --------------------------------------------------------------
-
-
-def test_route_excludes_empty_and_repetition():
-    grid = make_grid(
-        [[("single_line", "a"), ("single_line", "b"), ("empty", None), ("repetition", None)]]
-    )
-    tasks = route_cells(grid)
-    assert len(tasks) == 2
-    assert {(t.row, t.col) for t in tasks} == {(0, 0), (0, 1)}
-
-
-def test_route_multiline_one_task_per_line():
-    grid = make_grid([[("multi_line", "a|b|c")]])
-    tasks = route_cells(grid)
-    assert len(tasks) == 3
-    assert [t.line_index for t in tasks] == [0, 1, 2]
-
-
-def test_route_downgrades_lineless_multiline():
-    grid = make_grid([[("multi_line", None)]])
-    tasks = route_cells(grid)
-    assert len(tasks) == 1
-    assert tasks[0].downgraded
-
-
-def test_route_task_count_oracle():
-    rng = random.Random(13)
-    kinds = ("single_line", "multi_line", "repetition", "empty")
-    for _ in range(30):
-        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
-        spec = [
-            [
-                (k := rng.choice(kinds), "x|y" if k == "multi_line" else ("t" if k == "single_line" else None))
-                for _ in range(n_cols)
-            ]
-            for _ in range(n_rows)
-        ]
-        grid = make_grid(spec)
-        expected = sum(
-            1 if kind == "single_line" else 2 if kind == "multi_line" else 0
-            for row in spec
-            for kind, _ in row
-        )
-        assert len(route_cells(grid)) == expected
 
 
 # --- fill_repetitions -----------------------------------------------------------

@@ -284,6 +284,15 @@ def test_evaluate_years_skips_pages_without_annotation():
     assert result.precision == 100.0
 
 
+def test_evaluate_years_without_an_annotated_page_scores_zero():
+    gold = {("op1", "left"): set(), ("op1", "right"): set()}
+    pred = {("op1", "left"): {1877}, ("op1", "right"): {1878}}
+    result = evaluate_years(pred, gold)
+    assert (result.precision, result.recall, result.f1) == (0.0, 0.0, 0.0)
+    assert (result.tp, result.fp, result.fn, result.pages_scored) == (0, 0, 0, 0)
+    assert evaluate_years({}, {}) == result
+
+
 def test_evaluate_years_reconstructs_published_operating_point():
     # tp=916, fp=84, fn=186 gives P=91.6, R=83.1 and an F1 rounding to 87.2
     gold = {}

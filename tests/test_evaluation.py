@@ -12,7 +12,6 @@ from migrec.evaluation import (
     accuracy_from_pr,
     cer,
     class_report,
-    corpus_exact_match,
     edit_distance,
     exact_match,
     f1_score,
@@ -286,11 +285,6 @@ def test_exact_match_trims_outer_whitespace():
     assert exact_match("1878 ", "1878")
     assert exact_match(" talollinen", "talollinen ")
     assert not exact_match("Piika", "piika")
-
-
-def test_corpus_exact_match_percentage():
-    pairs = [("a", "a"), ("b", "x"), ("c ", "c"), ("d", "d")]
-    assert corpus_exact_match(pairs) == 75.0
 
 
 def test_filter_unreadable_drops_question_mark_references():

@@ -440,6 +440,39 @@ def test_deskew_document_moves_every_box_by_its_side(tmp_path):
             assert (cell.class_probs, cell.text) == (raw_cell.class_probs, raw_cell.text)
 
 
+def test_extract_to_a_jsonl_path_writes_what_normalize_and_aggregate_read(corpus, tmp_path):
+    paths = corpus["paths"]
+    records_path = str(tmp_path / "records.jsonl")
+    code = main([
+        "extract", paths["observed"], records_path, "--workers", "1",
+        "--schema-dir", paths["schemas"], "--gazetteer", paths["gazetteer"],
+    ])
+    assert code == EXIT_OK
+    got = sorted(read_records(records_path, format="jsonl"), key=sort_key)
+    assert got == sorted(corpus["gold_records"], key=sort_key)
+    normalized = str(tmp_path / "normalized.jsonl")
+    assert main(["normalize", records_path, normalized, "--gazetteer", paths["gazetteer"]]) == EXIT_OK
+    assert len(read_records(normalized, format="jsonl")) == len(got)
+    assert main(["aggregate", records_path, str(tmp_path / "agg")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "argument"])
+def test_a_given_records_format_wins_over_the_path_suffix(corpus, tmp_path, how):
+    paths = corpus["paths"]
+    records_path = str(tmp_path / "records.jsonl")
+    argv = ["extract", paths["observed"], records_path, "--workers", "1"]
+    if how == "argument":
+        code = cmd_extract(paths["observed"], records_path, PipelineOptions(), records_format="csv")
+    elif how == "flag":
+        code = main(argv + ["--format", "csv"])
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("format = csv\n", encoding="utf-8")
+        code = main(["--config", str(config)] + argv)
+    assert code == EXIT_OK
+    assert len(read_records(records_path, format="csv")) == len(corpus["gold_records"])
+
+
 def test_normalize_detects_planted_duplicate(tmp_path):
     book = generate_book(SynthConfig(seed=31), 4, book_id="book_orig")
     clone = generate_book(SynthConfig(seed=31), 4, book_id="book_copy")
@@ -1068,6 +1101,24 @@ def test_eval_reports_of_no_openings():
     assert reports["year_metrics.csv"][1] == [
         ("raw", 0.0, 0.0, 0.0, 0), ("rule_corrected", 0.0, 0.0, 0.0, 0)
     ]
+
+
+def test_a_gold_class_never_predicted_scores_zero_precision():
+    # 3 gold single-line cells: 2 read as single-line, 1 as empty; the one
+    # gold multi-line cell reads as single-line, so nothing is multi-line
+    confusion = Counter({
+        ("single_line", "single_line"): 2, ("single_line", "empty"): 1,
+        ("multi_line", "single_line"): 1,
+    })
+    score = pipeline.OpeningScore(
+        book_id="b", layout_type="preprinted", detections={}, confusion=confusion,
+        text_pairs=[], pred_pages={}, gold_pages={}, angles=[], failures=[],
+    )
+    rows = {row[0]: row for row in eval_reports([score], ChronoConfig())["cell_classification.csv"][1]}
+    # label, precision, recall, f1, support
+    assert rows["multi_line"] == ("multi_line", 0.0, 0.0, 0.0, 1)
+    assert rows["single_line"] == ("single_line", 66.7, 66.7, 66.7, 3)
+    assert "empty" not in rows and "repetition" not in rows  # no gold support
 
 
 def test_eval_rejects_two_documents_with_one_name(corpus, tmp_path, caplog):

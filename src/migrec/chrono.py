@@ -98,18 +98,18 @@ def normalize_year_token(raw: str, cfg: ChronoConfig | None = None) -> int | Non
     cfg = cfg or ChronoConfig()
     token = raw.strip()
     # Trim surrounding punctuation, keeping the 4-char core intact.
-    while token and not (token[0].isdigit() or token[0] in _SEPARATOR_REPAIRS):
+    while token and not (token[0].isdecimal() or token[0] in _SEPARATOR_REPAIRS):
         token = token[1:]
-    while token and not (token[-1].isdigit() or token[-1] in _SEPARATOR_REPAIRS):
+    while token and not (token[-1].isdecimal() or token[-1] in _SEPARATOR_REPAIRS):
         token = token[:-1]
     if len(token) != 4:
         return None
 
-    if token.isdigit():
+    if token.isdecimal():
         year = int(token)
         return year if cfg.in_range(year) else None
 
-    bad = [i for i, ch in enumerate(token) if not ch.isdigit()]
+    bad = [i for i, ch in enumerate(token) if not ch.isdecimal()]
     if len(bad) != 1:
         return None
     pos = bad[0]
@@ -117,7 +117,7 @@ def normalize_year_token(raw: str, cfg: ChronoConfig | None = None) -> int | Non
     repair = _SEPARATOR_REPAIRS.get(token[pos])
     if repair is not None:
         candidate = token[:pos] + repair + token[pos + 1 :]
-        if candidate.isdigit():
+        if candidate.isdecimal():
             year = int(candidate)
             if cfg.in_range(year):
                 return year
@@ -127,7 +127,7 @@ def normalize_year_token(raw: str, cfg: ChronoConfig | None = None) -> int | Non
     completions = []
     for digit in "0123456789":
         candidate = token[:pos] + digit + token[pos + 1 :]
-        if not candidate.isdigit() or candidate[:2] not in _CENTURY_PREFIXES:
+        if not candidate.isdecimal() or candidate[:2] not in _CENTURY_PREFIXES:
             continue
         year = int(candidate)
         if cfg.in_range(year):

@@ -585,9 +585,28 @@ def _not_utf8(path: str) -> ParseError:
     return ParseError("not UTF-8 text", "line 1")  # the file changed while it was read
 
 
+# the scanner json.loads runs, without its two wrappers and two whitespace matches
+_scan_once = json.JSONDecoder().scan_once
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def decode_json_line(raw: str, lineno: int):
-    """``json.loads`` of one line; whatever it rejects (too many digits and too
-    deep nesting included) is a :class:`ParseError` at ``line N``."""
+    """The JSON value of one line, as ``json.loads`` decodes it; whatever it
+    rejects (too many digits and too deep nesting included) is a
+    :class:`ParseError` at ``line N``.
+
+    One call of the JSON scanner decodes a line that starts with its value
+    and has only JSON whitespace (space, tab, CR, LF) after it.  Any other
+    line, and any line the scanner stops on, goes through ``json.loads``,
+    which accepts it (leading spaces, say) or raises the error reported.
+    """
+    try:
+        value, end = _scan_once(raw, 0)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    else:
+        if end == len(raw) or not raw[end:].strip(_JSON_WHITESPACE):
+            return value
     try:
         return json.loads(raw)
     except (ValueError, RecursionError) as exc:
@@ -624,19 +643,65 @@ def parse_header(obj) -> DetectionDocument:
     return header
 
 
+def _plain_cell(obj: dict, index, tables: list[tuple[Box, list[CellHypothesis]]]):
+    """The cell of a cell line, in table ``index``, that every check of
+    :func:`read_document` would pass unchanged, or None when any value needs
+    the checks.
+
+    A plain cell names an earlier table by an int, has four plain floats in
+    [0, 1] summing to within ``PROB_SUM_TOLERANCE`` of one, no lines, a box
+    of five plain floats, non-empty and within ``CELL_CLAMP_TOLERANCE`` of
+    its table box, and no text or a text of a str and a plain float
+    confidence in [0, 1].  A table line is read only after the header, so a
+    plain cell also follows the header.  As in :func:`validate_box`, one
+    chained comparison tests the box: the table box is finite, so a box
+    inside it is finite too, and nan fails every comparison.
+    """
+    probs, box, text = obj.get("class_probs"), obj.get("box"), obj.get("text")
+    if not (
+        type(index) is int and 0 <= index < len(tables)
+        and type(probs) is list and len(probs) == 4
+        and type(box) is dict and box.keys() == _BOX_KEYS
+        and not obj.get("lines")
+        and (text is None or type(text) is dict and text.keys() == _TEXT_KEYS)
+    ):
+        return None
+    a, b, c, d = probs
+    x0, y0, x1, y1, conf = box["x_min"], box["y_min"], box["x_max"], box["y_max"], box["confidence"]
+    t, tol = tables[index][0], CELL_CLAMP_TOLERANCE
+    if not (
+        type(a) is float and type(b) is float and type(c) is float and type(d) is float
+        and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0 and 0.0 <= d <= 1.0
+        and abs(sum(probs) - 1.0) <= PROB_SUM_TOLERANCE
+        and type(x0) is float and type(y0) is float and type(x1) is float and type(y1) is float
+        and type(conf) is float
+        and t.x_min - tol <= x0 < x1 <= t.x_max + tol and t.y_min - tol <= y0 < y1 <= t.y_max + tol
+        and 0.0 <= conf <= 1.0
+    ):
+        return None
+    if text is not None:
+        s, confidence = text["text"], text["confidence"]
+        if not (type(s) is str and type(confidence) is float and 0.0 <= confidence <= 1.0):
+            return None
+        text = TextHypothesis(s, confidence)
+    return CellHypothesis(Box(x0, y0, x1, y1, conf), (a, b, c, d), text, ())
+
+
 def read_document(path: str) -> DetectionDocument:
     """Parse and validate one document file in a single pass.
 
-    Each line is decoded with ``json.loads`` and checked in full before the
-    next one is read: the header (:func:`parse_header`), which must be the
-    first non-blank line, each table box, each cell's box, class
+    Each line is decoded by :func:`decode_json_line` and checked in full
+    before the next one is read: the header (:func:`parse_header`), which
+    must be the first non-blank line, each table box, each cell's box, class
     distribution, text and lines and its place in its table (parsed on an
-    earlier line), and each year detection.  The first
-    bad line raises :class:`ParseError` for malformed syntax or structure
-    (a file that is not UTF-8 included) or :class:`ValidationError` for a
-    value that violates an invariant.  Both name the line and the field,
-    as in ``line 3: box.x_max``; lines are counted in the file, blank ones
-    included.
+    earlier line), and each year detection.  A plain cell line, nearly every
+    one read, is recognised by one condition and built directly
+    (:func:`_plain_cell`); any other cell line runs the checks one by one.
+    The first bad line raises :class:`ParseError` for malformed syntax or
+    structure (a file that is not UTF-8 included) or
+    :class:`ValidationError` for a value that violates an invariant.  Both
+    name the line and the field, as in ``line 3: box.x_max``; lines are
+    counted in the file, blank ones included.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -670,34 +735,35 @@ def read_document(path: str) -> DetectionDocument:
                 tables.append((box, []))
             elif kind == "cell":
                 index = obj.get("table")
-                if type(index) is not int or not 0 <= index < len(tables):
-                    raise ParseError(f"cell references unknown table {index!r}")
-                probs = obj.get("class_probs")
-                if not isinstance(probs, list):
-                    raise ParseError("class_probs must be a list", "class_probs")
-                line_objs = obj.get("lines") or ()
-                if isinstance(line_objs, (int, float)):
-                    # a string or an object iterates to entries that fail below
-                    raise ParseError("lines must be a list", "lines")
-                lines = []
-                for i, line_obj in enumerate(line_objs):
-                    try:
-                        if not isinstance(line_obj, dict):
-                            raise ParseError("line entries must be objects")
-                        box = _parse_box(line_obj.get("box"))
-                        lines.append(CellLine(box, _parse_text(line_obj.get("text"))))
-                    except ParseError as exc:
-                        raise exc.within(f"lines[{i}]") from None
-                text = obj.get("text")
-                cell = CellHypothesis(
-                    _parse_box(obj.get("box")),
-                    normalize_class_probs(probs),
-                    None if text is None else _parse_text(text),
-                    tuple(lines),
-                )
-                table_box, cells = tables[index]
-                _validate_cell(cell, table_box)
-                cells.append(cell)
+                cell = _plain_cell(obj, index, tables)
+                if cell is None:
+                    if type(index) is not int or not 0 <= index < len(tables):
+                        raise ParseError(f"cell references unknown table {index!r}")
+                    probs = obj.get("class_probs")
+                    if not isinstance(probs, list):
+                        raise ParseError("class_probs must be a list", "class_probs")
+                    line_objs = obj.get("lines") or ()
+                    if isinstance(line_objs, (int, float)):
+                        # a string or an object iterates to entries that fail below
+                        raise ParseError("lines must be a list", "lines")
+                    lines = []
+                    for i, line_obj in enumerate(line_objs):
+                        try:
+                            if not isinstance(line_obj, dict):
+                                raise ParseError("line entries must be objects")
+                            box = _parse_box(line_obj.get("box"))
+                            lines.append(CellLine(box, _parse_text(line_obj.get("text"))))
+                        except ParseError as exc:
+                            raise exc.within(f"lines[{i}]") from None
+                    text = obj.get("text")
+                    cell = CellHypothesis(
+                        _parse_box(obj.get("box")),
+                        normalize_class_probs(probs),
+                        None if text is None else _parse_text(text),
+                        tuple(lines),
+                    )
+                    _validate_cell(cell, tables[index][0])
+                tables[index][1].append(cell)
             elif kind == "year":
                 det = YearDetection(_parse_box(obj.get("box")), _parse_text(obj.get("text")))
                 validate_box(det.box, "box")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from migrec.chrono import (
     BookYearSequence,
     ChronoConfig,
@@ -51,6 +53,25 @@ def test_garbage_returns_none():
     assert normalize_year_token("") is None
     assert normalize_year_token("187") is None
     assert normalize_year_token("18789") is None
+
+
+@pytest.mark.parametrize(
+    "token, year",
+    [
+        ("¹⁹¹⁴", None),  # superscripts are digits to str.isdigit, not to int()
+        ("19¹4", None),  # one damaged character, ten completions in range
+        ("191⁴", None),
+        ("(¹⁹¹⁴)", None),
+        ("1914²", 1914),  # a trailing superscript is trimmed like punctuation
+        ("①⑨①④", None),
+        ("١٩١٤", 1914),  # Arabic-Indic and fullwidth digits are decimal
+        ("１９１４", 1914),
+    ],
+    ids=["superscripts", "one-superscript", "last-superscript", "bracketed-superscripts",
+         "trailing-superscript", "circled", "arabic-indic", "fullwidth"],
+)
+def test_a_token_of_non_ascii_digits_is_a_year_or_none(token, year):
+    assert normalize_year_token(token) == year
 
 
 def test_out_of_range_rejected():

@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import pickle
 import random
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from migrec import interchange
 from migrec.gridrec import GridCell
 from migrec.interchange import (
     Box,
@@ -27,6 +29,7 @@ from migrec.interchange import (
     ValidationError,
     YearDetection,
     content_lines,
+    decode_json_line,
     dominant_class,
     normalize_class_probs,
     read_document,
@@ -696,8 +699,10 @@ def read_outcome(reader, path):
         return (type(exc).__name__, exc.message, exc.path)
 
 
-def test_every_single_field_mutation_reads_as_the_two_pass_reader(tmp_path):
-    objs = document_lines(tmp_path)
+def two_pass_differences(tmp_path, objs, values):
+    """Read every single-field mutation of ``objs`` by both readers and assert
+    the same outcome; returns the two-pass reader's outcomes where the two
+    differ by design, which is only for a bool table index."""
     fields = [(i, keys) for i, obj in enumerate(objs) for keys in field_paths(obj)]
     differences = Counter()
     for line, keys in fields:
@@ -705,7 +710,7 @@ def test_every_single_field_mutation_reads_as_the_two_pass_reader(tmp_path):
         for key in keys[:-1]:
             parent = parent[key]
         deletable = isinstance(parent, dict)
-        for value in MUTATION_VALUES + ((DELETE,) if deletable else ()):
+        for value in values + ((DELETE,) if deletable else ()):
             mutated = mutate(objs, line, keys, value)
             path = write_lines(tmp_path, mutated, name="mutated.jsonl")
             new = read_outcome(read_document, path)
@@ -720,8 +725,78 @@ def test_every_single_field_mutation_reads_as_the_two_pass_reader(tmp_path):
                 assert new == ref, (line, keys, value)
             else:
                 assert new == (ref[0], ref[1], line_form(ref[2], mutated)), (line, keys, value)
+    return differences
+
+
+def test_every_single_field_mutation_reads_as_the_two_pass_reader(tmp_path):
+    differences = two_pass_differences(tmp_path, document_lines(tmp_path), MUTATION_VALUES)
     # False was filed under table 0; True named a table that does not exist
     assert differences == {"read": 2, "ParseError": 2}
+
+
+def float_document_lines(tmp_path):
+    """The objects of a document whose every coordinate and confidence is a
+    float: a cell with text, one without and a multi-line cell."""
+    line = CellLine(Box(12.5, 42.5, 48.5, 50.25, 0.9), TextHypothesis("Anna", 0.8))
+    cells = (
+        CellHypothesis(Box(10.5, 10.25, 50.75, 30.125, 0.9), (0.7, 0.2, 0.1, 0.0),
+                       TextHypothesis("Kaukaanpää", 0.8)),
+        CellHypothesis(Box(60.5, 10.5, 120.25, 30.5, 0.95), (0.0, 0.0, 0.25, 0.75)),
+        CellHypothesis(Box(10.5, 40.5, 50.5, 60.5, 0.9), (0.1, 0.9, 0.0, 0.0), lines=(line, line)),
+    )
+    corners = [Point(x, y) for y in (0.5, 799.5) for x in (0.5, 500.25, 999.5)]
+    doc = make_document(
+        keypoints=OpeningKeypoints(*corners),
+        tables=(TableDetection(Box(5.5, 5.5, 400.5, 300.5, 1.0), cells),),
+        year_detections=(YearDetection(Box(100.5, 1.5, 160.5, 4.5, 0.9),
+                                       TextHypothesis("1878", 0.9)),),
+    )
+    path = tmp_path / "source.jsonl"
+    write_document(doc, str(path))
+    return [json.loads(raw) for raw in path.read_text(encoding="utf-8").splitlines()]
+
+
+FLOAT_EDGE_VALUES = (
+    # class probabilities summing to 1 +- 1e-6 (kept as they are) and
+    # 1 +- 1e-3 (renormalized), five of them, and each one just outside
+    # [0, 1] (clamped)
+    [0.5 + 1e-6, 0.5, 0.0, 0.0], [0.5 - 1e-6, 0.5, 0.0, 0.0],
+    [0.5 + 1e-3, 0.5, 0.0, 0.0], [0.5 - 1e-3, 0.5, 0.0, 0.0], [0.2] * 5,
+    *([1.0 + 1e-7 if i == j else 0.0 for j in range(4)] for i in range(4)),
+    *([-1e-7 if i == j else 1.0 if j == (i + 1) % 4 else 0.0 for j in range(4)] for i in range(4)),
+    1.0 + 1e-7, -1e-7,
+    # coordinates at and just past the clamp tolerance of the table box
+    # (5.5, 5.5, 400.5, 300.5)
+    3.5, math.nextafter(3.5, 0.0), 402.5, math.nextafter(402.5, math.inf),
+    302.5, math.nextafter(302.5, math.inf),
+    # an empty box: the x_min of the text cell, the y_min of the one without
+    10.5,
+    1.0, 0.25,
+    # a box and a text with a misspelt key
+    {"x_min": 1.0, "y_min": 1.0, "x_max": 2.0, "y_max": 2.0, "conf": 1.0},
+    {"text": "x", "conf": 0.5},
+)
+
+
+def test_every_single_field_mutation_of_a_float_document_reads_as_the_two_pass_reader(
+    tmp_path, monkeypatch
+):
+    objs = float_document_lines(tmp_path)
+    built = Counter()
+    plain_cell = interchange._plain_cell
+
+    def counted(*args):
+        cell = plain_cell(*args)
+        built[cell is not None] += 1
+        return cell
+
+    monkeypatch.setattr(interchange, "_plain_cell", counted)
+    read_document(str(write_lines(tmp_path, objs)))
+    # the cell with text and the one without are plain; the multi-line one is not
+    assert built == {True: 2, False: 1}
+    differences = two_pass_differences(tmp_path, objs, MUTATION_VALUES + FLOAT_EDGE_VALUES)
+    assert differences == {"read": 3, "ParseError": 3}
+    assert built[True] > 2000  # the mutations that keep a cell plain take the one check
 
 
 def test_the_header_is_the_first_non_blank_line(tmp_path):
@@ -759,6 +834,107 @@ def test_lines_that_fail_alone_fail_at_the_first_one(tmp_path):
             reader(str(path))
         assert err.value.path == "line 1"
         assert err.value.message.startswith("invalid JSON (Unterminated string")
+
+
+# --- whitespace around a line: decoded as json.loads decodes it ----------------
+
+# (name, layout of the lines, whether it reads, lines json.loads decodes)
+WHITESPACE_LAYOUTS = [
+    ("leading-spaces", lambda lines: ["  " + line for line in lines], True, "all"),
+    ("trailing-tabs", lambda lines: [line + "\t\t" for line in lines], True, 0),
+    # open() reads a CR before a newline as the line end
+    ("trailing-cr", lambda lines: [line + "\r" for line in lines], True, 0),
+    ("whitespace-only-line", lambda lines: lines[:2] + [" \t "] + lines[2:], True, 0),
+    # U+3000 is whitespace to str.strip, not to JSON
+    ("trailing-ideographic-space", lambda lines: lines[:2] + [lines[2] + "\u3000"] + lines[3:],
+     False, 1),
+    ("bom-before-the-first-line", lambda lines: ["\ufeff" + lines[0]] + lines[1:], False, 1),
+]
+
+
+@pytest.fixture
+def loads_calls(monkeypatch):
+    """The lines decoded by ``json.loads`` rather than by one scanner call."""
+    calls = []
+    loads = json.loads
+
+    def counted(s, *args, **kwargs):
+        calls.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "layout, reads, decoded_by_loads", [case[1:] for case in WHITESPACE_LAYOUTS],
+    ids=[case[0] for case in WHITESPACE_LAYOUTS],
+)
+def test_whitespace_around_a_document_line_reads_as_the_two_pass_reader(
+    tmp_path, loads_calls, layout, reads, decoded_by_loads
+):
+    objs = document_lines(tmp_path)
+    lines = [json.dumps(o) for o in objs]
+    plain = read_document(str(write_lines(tmp_path, objs)))
+    path = tmp_path / "padded.jsonl"
+    path.write_text("\n".join(layout(lines)) + "\n", encoding="utf-8")
+    del loads_calls[:]
+    new = read_outcome(read_document, path)
+    assert len(loads_calls) == (len(lines) if decoded_by_loads == "all" else decoded_by_loads)
+    ref = read_outcome(read_document_reference, path)
+    assert new == ref
+    if reads:
+        assert new == ("read", repr(plain))
+    else:
+        assert new[0] == "ParseError" and new[1].startswith("invalid JSON (")
+
+
+@pytest.mark.parametrize(
+    "layout, reads, decoded_by_loads", [case[1:] for case in WHITESPACE_LAYOUTS],
+    ids=[case[0] for case in WHITESPACE_LAYOUTS],
+)
+def test_whitespace_around_a_jsonl_record_line_reads_as_json_loads_reads_it(
+    tmp_path, loads_calls, layout, reads, decoded_by_loads
+):
+    records = [make_record(i) for i in range(3)]
+    path = tmp_path / "records.jsonl"
+    write_records(records, str(path), format="jsonl")
+    assert read_records(str(path), format="jsonl") == records
+    assert loads_calls == []  # each line still ends in its newline
+    lines = path.read_text(encoding="utf-8").splitlines()
+    padded = layout(lines)
+    path.write_text("\n".join(padded) + "\n", encoding="utf-8")
+    if reads:
+        assert read_records(str(path), format="jsonl") == records
+    else:
+        lineno, raw = next((n, new) for n, (new, old) in enumerate(zip(padded, lines), 1)
+                           if new != old)
+        with pytest.raises(ValueError) as expected:
+            json.loads(raw)
+        del loads_calls[:]
+        with pytest.raises(ParseError) as err:
+            read_records(str(path), format="jsonl")
+        assert (err.value.message, err.value.path) == (
+            f"invalid JSON ({expected.value.msg})", f"line {lineno}")
+    assert len(loads_calls) == (len(lines) if decoded_by_loads == "all" else decoded_by_loads)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ['{"a": [1, 2.5]}', '{"a": 1}\n', '[1]\r\n', "[1] \t\r\n ", "  [1]", "\t[1]\n",
+     "[1]\u3000", "[1]\x0b", "[1]\x0c", "[1]\u00a0", "\ufeff[1]", "1 2", "[1]x", '"a"b',
+     "", "  ", "-", "[Infinity, -Infinity]", "1e400", '{"a": 1, "a": 2}'],
+)
+def test_decode_json_line_returns_or_rejects_what_json_loads_does(raw):
+    try:
+        expected = ("value", repr(json.loads(raw)))
+    except ValueError as exc:
+        expected = ("ParseError", f"invalid JSON ({exc.msg})", "line 7")
+    try:
+        got = ("value", repr(decode_json_line(raw, 7)))
+    except ParseError as exc:
+        got = ("ParseError", exc.message, exc.path)
+    assert got == expected
 
 
 def test_an_error_after_a_blank_line_names_its_line_in_the_file(tmp_path):

@@ -398,6 +398,24 @@ def test_a_leading_blank_line_keeps_a_document_in_its_book(corpus, tmp_path):
     assert b"<unreadable>" not in outputs[1][0]
 
 
+def test_a_year_token_of_superscript_digits_loses_no_opening(corpus, tmp_path):
+    in_dir = tmp_path / "docs"
+    shutil.copytree(corpus["paths"]["observed"], in_dir)
+    first = sorted(in_dir.glob("*.jsonl"))[0]
+    lines = first.read_text(encoding="utf-8").split("\n")
+    year_line = next(i for i, line in enumerate(lines) if '"kind": "year"' in line)
+    obj = json.loads(lines[year_line])
+    obj["text"]["text"] = "¹⁹¹⁴"
+    lines[year_line] = json.dumps(obj, ensure_ascii=False)
+    first.write_text("\n".join(lines), encoding="utf-8")
+    opening_id = read_document(str(first)).opening_id
+    years, records = tmp_path / "years.csv", tmp_path / "records.csv"
+    assert main(["years", str(in_dir), str(years)]) == EXIT_OK
+    assert opening_id in {row["opening_id"] for row in read_csv_rows(years)}
+    assert main(["extract", str(in_dir), str(records), "--workers", "1"]) == EXIT_OK
+    assert opening_id in {record.opening_id for record in read_records(str(records))}
+
+
 def test_eval_fatal_error_names_the_file(corpus, tmp_path, caplog):
     pred_dir = tmp_path / "pred"
     shutil.copytree(corpus["paths"]["observed"], pred_dir)

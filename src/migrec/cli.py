@@ -422,11 +422,15 @@ def cmd_synth(
     openings_per_book: int = 10,
     records_format: str = "jsonl",
 ) -> int:
-    """Generate a synthetic corpus with ground truth under ``out_dir``."""
+    """Generate a synthetic corpus with ground truth under ``out_dir``.
+
+    Book ``b`` has seed ``cfg.seed + b`` and ``generate_book``'s default id.
+    Tables of fewer than five columns have no schema (``col_<i>`` fields).
+    """
     fixtures = []
     for b in range(books):
         book_cfg = dc_replace(cfg, seed=cfg.seed + b)
-        fixtures.append(generate_book(book_cfg, openings_per_book, book_id=f"book{cfg.seed + b:04d}"))
+        fixtures.append(generate_book(book_cfg, openings_per_book))
     paths = write_corpus(fixtures, out_dir, records_format=records_format)
     log.info("synthetic corpus written: %s", paths)
     return EXIT_OK

@@ -5,15 +5,17 @@ year headers, records drawn from small Finnish/Swedish vocabularies) and
 then derives the observed detection document by applying a perturbation log:
 a page-wise projective skew, cell dropout, border jitter, character
 substitutions within visually confusable sets, and year-token corruption.
-The log is complete: replaying it on the gold opening reproduces the
-observed document exactly, which is what makes these fixtures usable as
-oracles.
+The log is complete: replaying it on the gold opening (its document plus
+one ``GoldTable`` per table) reproduces the observed document exactly,
+which is what makes these fixtures usable as oracles.  A table of fewer
+than five columns keeps the first columns of the five-column template.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -247,33 +249,28 @@ def _page_homographies(
     return left, right
 
 
-def _transform_cell(cell: CellHypothesis, h: Homography | None) -> CellHypothesis:
-    if h is None:
-        return cell
-    return replace(
-        cell,
-        box=transform_box(h, cell.box),
-        lines=tuple(replace(line, box=transform_box(h, line.box)) for line in cell.lines),
-    )
-
-
-def _substitute(text: str, index: int, replacement: str) -> str:
-    return text[:index] + replacement + text[index + 1 :]
+def _substitute(text: TextHypothesis, subs: Sequence[CharSubstitution | YearSubstitution]) -> TextHypothesis:
+    """``text`` with ``subs`` applied in log order; ``text`` itself when there are none."""
+    raw = text.text
+    for sub in subs:
+        raw = raw[: sub.index] + sub.replacement + raw[sub.index + 1 :]
+    return TextHypothesis(raw, text.confidence) if subs else text
 
 
 def apply_perturbations(
     gold_document: DetectionDocument,
-    gold_keypoints: OpeningKeypoints,
+    gold_tables: tuple[GoldTable, ...],
     log: PerturbationLog,
-    table_sides: tuple[str, ...],
-    gold_grids: tuple[GridTable, ...],
 ) -> DetectionDocument:
     """Derive the observed document from the gold opening and a log.
 
-    This is the generator's own construction path, so replaying a log always
-    reproduces the observed document bit for bit.
+    The gold opening is ``gold_document`` (keypoints, year detections) and
+    its ``GoldTable``s (side, cells and box of each table).  Each perturbed
+    value is built once, and a cell the log leaves alone stays the gold
+    object.  This is the generator's own construction path, so replaying a
+    log always reproduces the observed document bit for bit.
     """
-    h_left, h_right = _page_homographies(gold_keypoints, log.keypoints)
+    h_left, h_right = _page_homographies(gold_document.keypoints, log.keypoints)
     dropped = set(log.dropped)
     jitter = {(t, r, c): deltas for t, r, c, deltas in log.jitter}
     subs_by_cell: dict[tuple[int, int, int], list[CharSubstitution]] = {}
@@ -281,47 +278,37 @@ def apply_perturbations(
         subs_by_cell.setdefault((sub.table, sub.row, sub.col), []).append(sub)
 
     tables = []
-    for t, (side, grid) in enumerate(zip(table_sides, gold_grids)):
-        h = h_left if side == "left" else h_right
+    for t, gold_table in enumerate(gold_tables):
+        h = h_left if gold_table.side == "left" else h_right
         cells = []
-        for r, row in enumerate(grid.cells):
+        for r, row in enumerate(gold_table.grid.cells):
             for c, gcell in enumerate(row):
                 if (t, r, c) in dropped:
                     continue
-                cell = _transform_cell(gcell.hyp, h)
+                cell = gcell.hyp
                 deltas = jitter.get((t, r, c))
-                if deltas is not None:
-                    cell = replace(
-                        cell,
-                        box=Box(
-                            cell.box.x_min + deltas[0],
-                            cell.box.y_min + deltas[1],
-                            cell.box.x_max + deltas[2],
-                            cell.box.y_max + deltas[3],
-                            cell.box.confidence,
-                        ),
+                subs = subs_by_cell.get((t, r, c), ())
+                if h is not None or deltas is not None or subs:
+                    box = cell.box if h is None else transform_box(h, cell.box)
+                    if deltas is not None:
+                        box = Box(
+                            box.x_min + deltas[0],
+                            box.y_min + deltas[1],
+                            box.x_max + deltas[2],
+                            box.y_max + deltas[3],
+                            box.confidence,
+                        )
+                    text = cell.text and _substitute(cell.text, [s for s in subs if s.line is None])
+                    lines = tuple(
+                        CellLine(
+                            line.box if h is None else transform_box(h, line.box),
+                            _substitute(line.text, [s for s in subs if s.line == i]),
+                        )
+                        for i, line in enumerate(cell.lines)
                     )
-                for sub in subs_by_cell.get((t, r, c), ()):
-                    if sub.line is None:
-                        cell = replace(
-                            cell,
-                            text=replace(
-                                cell.text, text=_substitute(cell.text.text, sub.index, sub.replacement)
-                            ),
-                        )
-                    else:
-                        lines = list(cell.lines)
-                        line = lines[sub.line]
-                        lines[sub.line] = replace(
-                            line,
-                            text=replace(
-                                line.text, text=_substitute(line.text.text, sub.index, sub.replacement)
-                            ),
-                        )
-                        cell = replace(cell, lines=tuple(lines))
+                    cell = CellHypothesis(box, cell.class_probs, text, lines)
                 cells.append(cell)
-        gold_table_box = gold_document.tables[t].box
-        box = transform_box(h, gold_table_box) if h is not None else gold_table_box
+        box = gold_table.grid.table_box if h is None else transform_box(h, gold_table.grid.table_box)
         if cells:
             box = Box(
                 min(box.x_min, *(c.box.x_min for c in cells)),
@@ -337,13 +324,10 @@ def apply_perturbations(
         year_subs.setdefault(sub.detection, []).append(sub)
     years = []
     for i, det in enumerate(gold_document.year_detections):
-        side = "left" if det.box.center.x < gold_document.image_width / 2.0 else "right"
-        h = h_left if side == "left" else h_right
-        box = transform_box(h, det.box) if h is not None else det.box
-        text = det.text.text
-        for sub in year_subs.get(i, ()):
-            text = _substitute(text, sub.index, sub.replacement)
-        years.append(YearDetection(box=box, text=replace(det.text, text=text)))
+        center = det.box.center
+        h = h_left if gold_document.page_side(center.x, center.y) == "left" else h_right
+        box = det.box if h is None else transform_box(h, det.box)
+        years.append(YearDetection(box, _substitute(det.text, year_subs.get(i, ()))))
 
     return replace(
         gold_document,
@@ -417,8 +401,8 @@ def _make_rows(rng: random.Random, n_rows: int, n_cols: int, gazetteer: Gazettee
                 )
             )
             continue
-        types = ["single_line"] * n_cols
-        texts: list[str | None] = [None] * n_cols
+        types = ["single_line"] * 5
+        texts: list[str | None] = [None] * 5
 
         texts[0] = str(r + 1)
         texts[1] = f"{rng.randint(1, 28)}.{rng.randint(1, 12)}."
@@ -426,9 +410,7 @@ def _make_rows(rng: random.Random, n_rows: int, n_cols: int, gazetteer: Gazettee
         occupation = rng.choice(occupations)
         if rng.random() < _P_MULTILINE_NAME:
             types[2] = "multi_line"
-            texts[2] = f"{name}, {occupation}"
-        else:
-            texts[2] = f"{name}, {occupation}"
+        texts[2] = f"{name}, {occupation}"
 
         canonical = rng.choice(canonicals)
         variants = sorted(gazetteer.entries[canonical])
@@ -730,12 +712,12 @@ def _generate_opening(
 
     theta_left = math.radians(rng.uniform(*cfg.skew_degrees))
     theta_right = math.radians(rng.uniform(*cfg.skew_degrees))
-    if cfg.skew_degrees == (0.0, 0.0):
-        theta_left = theta_right = 0.0
     observed_kp = _skewed_keypoints(kp, theta_left, theta_right)
 
-    grids = tuple(gt.grid for gt in gold_tables)
+    gold = tuple(gold_tables)
+    grids = tuple(gt.grid for gt in gold)
     dropped = _sample_dropout(rng, grids, cfg.cell_dropout_prob)
+    dropped_set = set(dropped)
     jitter = ()
     if cfg.border_jitter > 0.0:
         jitter = tuple(
@@ -743,22 +725,19 @@ def _generate_opening(
             for t, grid in enumerate(grids)
             for r in range(grid.n_rows)
             for c in range(grid.n_cols)
-            if (t, r, c) not in set(dropped)
+            if (t, r, c) not in dropped_set
         )
     log = PerturbationLog(
         keypoints=observed_kp,
         dropped=dropped,
         jitter=jitter,
-        char_subs=_sample_char_subs(rng, grids, set(dropped), cfg.char_noise_prob),
+        char_subs=_sample_char_subs(rng, grids, dropped_set, cfg.char_noise_prob),
         year_subs=_sample_year_subs(rng, gold_document.year_detections, cfg.year_corruption_prob),
     )
-    observed = apply_perturbations(
-        gold_document, kp, log, tuple(gt.side for gt in gold_tables), grids
-    )
     return OpeningFixture(
-        document=observed,
+        document=apply_perturbations(gold_document, gold, log),
         gold_document=gold_document,
-        gold_tables=tuple(gold_tables),
+        gold_tables=gold,
         gold_records=tuple(gold_records),
         gold_keypoints=kp,
         gold_years=dict(page_years),
@@ -793,12 +772,8 @@ def generate_book(cfg: SynthConfig, n_openings: int, book_id: str | None = None)
     rng = random.Random(cfg.seed * 1_000_003 + 17)
     year = rng.randint(1790, 1900)
 
-    page_sides = []
-    for i in range(n_openings):
-        for side in ("left", "right"):
-            page_sides.append((i, side))
     years = []
-    for _ in page_sides:
+    for _ in range(2 * n_openings):
         years.append(year)
         if rng.random() < _P_YEAR_ADVANCE:
             year += 1

@@ -604,6 +604,19 @@ def test_cmd_synth_writes_corpus(tmp_path):
     assert (tmp_path / "c" / "schemas" / "preprinted.tsv").exists()
 
 
+@pytest.mark.parametrize("cols, layout", [((2, 2), "preprinted"), ((4, 4), "preprinted"), ((3, 3), "handdrawn")])
+def test_narrow_layouts_extract_their_gold_records(tmp_path, cols, layout):
+    # below five columns a table keeps the first template columns; read
+    # without schemas, its records are col_<i> fields
+    cfg = SynthConfig(seed=0, cols=cols, layout=layout)
+    assert cmd_synth(str(tmp_path / "c"), cfg, openings_per_book=5) == EXIT_OK
+    out_path = tmp_path / "records.jsonl"
+    assert cmd_extract(str(tmp_path / "c" / "observed"), str(out_path), PipelineOptions()) == EXIT_OK
+    gold = read_records(str(tmp_path / "c" / "gold_records.jsonl"), format="jsonl")
+    assert gold and {len(r.fields) for r in gold} == {cols[0]}
+    assert read_records(str(out_path), format="jsonl") == gold
+
+
 def test_cmd_report_renders(tmp_path, corpus, capsys):
     out_dir = tmp_path / "eval"
     cmd_eval(corpus["paths"]["gold"], corpus["paths"]["gold"], str(out_dir))

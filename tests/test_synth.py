@@ -74,23 +74,28 @@ def test_excessive_dropout_raises():
         generate_opening(SynthConfig(seed=3, rows=(2, 2), cell_dropout_prob=0.9))
 
 
-def test_perturbation_log_replays_exactly():
-    cfg = SynthConfig(
-        seed=11,
-        skew_degrees=(-4, 4),
-        cell_dropout_prob=0.08,
-        char_noise_prob=0.05,
-        year_corruption_prob=0.3,
-        border_jitter=1.5,
-    )
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SynthConfig(
+            seed=11,
+            skew_degrees=(-4, 4),
+            cell_dropout_prob=0.08,
+            char_noise_prob=0.05,
+            year_corruption_prob=0.3,
+            border_jitter=1.5,
+        ),
+        SynthConfig(seed=11),
+        SynthConfig(seed=11, skew_degrees=(-4, 4)),
+        SynthConfig(seed=11, border_jitter=1.5),
+        SynthConfig(seed=11, layout="handdrawn", skew_degrees=(-4, 4), char_noise_prob=0.05),
+        SynthConfig(seed=11, cols=(2, 3), cell_dropout_prob=0.05, char_noise_prob=0.05),
+    ],
+    ids=["noisy", "clean", "skew", "jitter", "handdrawn", "narrow"],
+)
+def test_perturbation_log_replays_exactly(cfg):
     fixture = generate_opening(cfg)
-    replayed = apply_perturbations(
-        fixture.gold_document,
-        fixture.gold_keypoints,
-        fixture.perturbations,
-        tuple(gt.side for gt in fixture.gold_tables),
-        tuple(gt.grid for gt in fixture.gold_tables),
-    )
+    replayed = apply_perturbations(fixture.gold_document, fixture.gold_tables, fixture.perturbations)
     assert replayed == fixture.document
 
 

@@ -261,7 +261,9 @@ def assemble_records(
     Repetition fill is applied per column (idempotent, so pre-filled grids
     are safe).  Rows whose every cell is typed empty are elided: they are
     ruled lines without entries, not records.  Flags capture inferred cells,
-    repetition fills, realignment and year provenance.
+    repetition fills, realignment (``realign_failed`` when no alignment
+    scores above the threshold: the row keeps no parish) and year
+    provenance.
     """
     n_rows, n_cols = grid.n_rows, grid.n_cols
     types = [
@@ -296,6 +298,8 @@ def assemble_records(
             alignment = realign_columns(filled[r], schema)
             if alignment.status == "realigned":
                 flags.add("realigned")
+            elif alignment.status == "failed":
+                flags.add("realign_failed")
             fields = {label: alignment.mapping[label] or "" for label in schema.labels}
             parish_label = schema.parish_label()
             if parish_label is not None:

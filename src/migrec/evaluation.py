@@ -20,10 +20,18 @@ from .interchange import Box
 def edit_distance(a: str, b: str, bound: int | None = None) -> int:
     """Levenshtein distance with unit costs at character granularity.
 
-    With ``bound`` the result is ``min(distance, bound + 1)``: the DP stops
-    as soon as every entry of a row exceeds the bound (Ukkonen's cutoff),
-    since no later row can fall below its predecessor's minimum.  Without a
-    bound the full distance is returned.
+    With ``bound`` the result is ``min(distance, bound + 1)``; without one
+    the full distance is returned.
+
+    The DP matrix is computed a column at a time as bit vectors, after
+    Myers (JACM 1999) in Hyyrö's formulation (2001): bit ``i`` of ``vp``
+    (``vn``) is set when the entry in row ``i + 1`` of the current column
+    is one more (one less) than the entry above it, ``hp`` and ``hn`` hold
+    the same deltas along a row, and ``d`` tracks the bottom entry.  Each
+    vector is one Python int as wide as ``a``, so one step per character
+    of ``b`` replaces a row of the DP.  Carries and shifts move bits only
+    upward, so masking ``vp`` alone keeps the vectors bounded and leaves
+    the low ``len(a)`` bits exact.
     """
     if a == b:
         return 0
@@ -31,25 +39,27 @@ def edit_distance(a: str, b: str, bound: int | None = None) -> int:
         return bound + 1
     if not a or not b:
         return len(a) + len(b)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        diag, left = i - 1, i
-        for j, cb in enumerate(b, start=1):
-            # min(diag + cost, up + 1, left + 1), without min()'s call cost
-            up = prev[j]
-            value = diag if ca == cb else diag + 1
-            if up < value:
-                value = up + 1
-            if left < value:
-                value = left + 1
-            cur.append(value)
-            diag = up
-            left = value
-        if bound is not None and min(cur) > bound:
-            return bound + 1
-        prev = cur
-    return prev[-1] if bound is None else min(prev[-1], bound + 1)
+    peq: dict[str, int] = {}  # character -> the rows of ``a`` that hold it
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    vp, vn, d = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            d += 1
+        elif hn & last:
+            d -= 1
+        hp = (hp << 1) | 1  # row 0 grows by one per column
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+        vn = hp & d0
+    return d if bound is None or d <= bound else bound + 1
 
 
 def cer(pred: str, ref: str) -> float:
@@ -173,29 +183,50 @@ def match_detections(
     pair that could score above it is scored, and sorting the same
     ``(-score, pred index, gold index)`` triples gives the same greedy
     order as scoring all pairs.
+
+    The sweep reads each box once, as an ``(x_min, y_min, x_max, y_max)``
+    tuple, and scores a pair with :func:`iou`'s expression written out:
+    ``v if v < u else u`` is ``min(u, v)`` and ``v if v > u else u`` is
+    ``max(u, v)``, ties (``0.0`` and ``-0.0`` included) going to ``u`` as
+    the builtins give them, so every score is the same float.
     """
     if not 0.0 < thr <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    events = sorted(
-        [(b.x_min, 0, i) for i, b in enumerate(pred)]
-        + [(b.x_min, 1, i) for i, b in enumerate(gold)]
+    sides = (
+        [(b.x_min, b.y_min, b.x_max, b.y_max) for b in pred],
+        [(b.x_min, b.y_min, b.x_max, b.y_max) for b in gold],
     )
-    sides = (pred, gold)
+    events = sorted(
+        [(t[0], 0, i) for i, t in enumerate(sides[0])]
+        + [(t[0], 1, i) for i, t in enumerate(sides[1])]
+    )
     open_ids: tuple[list[int], list[int]] = ([], [])
     scored = []
     for x, side, i in events:
-        box = sides[side][i]
+        _, y0, _, y1 = box = sides[side][i]
         others = sides[1 - side]
         still_open = []
         for j in open_ids[1 - side]:
             other = others[j]
-            if other.x_max <= x:
+            if other[2] <= x:
                 continue  # closed: no later box (x_min >= x) overlaps it either
             still_open.append(j)
-            if other.y_max <= box.y_min or box.y_max <= other.y_min:
+            if other[3] <= y0 or y1 <= other[1]:
                 continue
-            pi, gi = (i, j) if side == 0 else (j, i)
-            score = iou(pred[pi], gold[gi])
+            if side == 0:
+                pi, gi = i, j
+                ax0, ay0, ax1, ay1 = box
+                bx0, by0, bx1, by1 = other
+            else:
+                pi, gi = j, i
+                ax0, ay0, ax1, ay1 = other
+                bx0, by0, bx1, by1 = box
+            w = (bx1 if bx1 < ax1 else ax1) - (bx0 if bx0 > ax0 else ax0)
+            h = (by1 if by1 < ay1 else ay1) - (by0 if by0 > ay0 else ay0)
+            if w <= 0.0 or h <= 0.0:
+                continue
+            inter = w * h
+            score = inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
             if score > thr:
                 scored.append((-score, pi, gi))
         open_ids[1 - side][:] = still_open

@@ -186,16 +186,25 @@ def apply_point(h: Homography, p: Point) -> Point:
 def transform_box(h: Homography, box: Box) -> Box:
     """Axis-aligned hull of a box's four corners under a homography.
 
-    There is one projection formula, ``_project``, shared with
-    :func:`apply_point`; here it maps the corners as plain tuples in the
-    order (min, min), (max, min), (max, max), (min, max), and the first
-    corner that maps to infinity raises :class:`PointAtInfinityError`.
+    The corners are projected with ``_project``'s expression written out,
+    in the order (min, min), (max, min), (max, max), (min, max).  When any
+    of them lands on the horizon, ``_project`` itself is run on the corners
+    in that order, so the first corner at infinity raises its
+    :class:`PointAtInfinityError`.
     """
-    m = h.m
-    x0, y0 = _project(m, box.x_min, box.y_min)
-    x1, y1 = _project(m, box.x_max, box.y_min)
-    x2, y2 = _project(m, box.x_max, box.y_max)
-    x3, y3 = _project(m, box.x_min, box.y_max)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = h.m
+    xa, ya, xb, yb = box.x_min, box.y_min, box.x_max, box.y_max
+    w0 = m20 * xa + m21 * ya + m22
+    w1 = m20 * xb + m21 * ya + m22
+    w2 = m20 * xb + m21 * yb + m22
+    w3 = m20 * xa + m21 * yb + m22
+    if abs(w0) < 1e-12 or abs(w1) < 1e-12 or abs(w2) < 1e-12 or abs(w3) < 1e-12:
+        for x, y in ((xa, ya), (xb, ya), (xb, yb), (xa, yb)):
+            _project(h.m, x, y)
+    x0, y0 = (m00 * xa + m01 * ya + m02) / w0, (m10 * xa + m11 * ya + m12) / w0
+    x1, y1 = (m00 * xb + m01 * ya + m02) / w1, (m10 * xb + m11 * ya + m12) / w1
+    x2, y2 = (m00 * xb + m01 * yb + m02) / w2, (m10 * xb + m11 * yb + m12) / w2
+    x3, y3 = (m00 * xa + m01 * yb + m02) / w3, (m10 * xa + m11 * yb + m12) / w3
     return Box(
         min(x0, x1, x2, x3),
         min(y0, y1, y2, y3),

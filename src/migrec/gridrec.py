@@ -11,6 +11,7 @@ coordinates with the |a - b| metric.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from statistics import median
 from typing import Literal, Sequence
@@ -150,7 +151,8 @@ def dbscan_1d(values: Sequence[float], eps: float, min_pts: int) -> list[int]:
     n = len(values)
     if n == 0:
         return []
-    order = sorted(range(n), key=lambda i: (values[i], i))
+    # a stable sort: equal values (0.0 and -0.0 among them) keep input order
+    order = sorted(range(n), key=values.__getitem__)
     sv = [values[i] for i in order]
 
     # Neighborhood sizes via two monotone pointers, using the same
@@ -201,14 +203,15 @@ def dbscan_1d(values: Sequence[float], eps: float, min_pts: int) -> list[int]:
 
 
 def _cluster_centroids(values: Sequence[float], labels: Sequence[int]) -> list[tuple[float, int]]:
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
+    # labels run 0..k-1 with noise at -1; each cluster sums in input order
+    k = max(labels, default=NOISE) + 1
+    sums = [0.0] * k
+    counts = [0] * k
     for v, lab in zip(values, labels):
-        if lab == NOISE:
-            continue
-        sums[lab] = sums.get(lab, 0.0) + v
-        counts[lab] = counts.get(lab, 0) + 1
-    return sorted((sums[lab] / counts[lab], counts[lab]) for lab in sums)
+        if lab != NOISE:
+            sums[lab] += v
+            counts[lab] += 1
+    return sorted((total / count, count) for total, count in zip(sums, counts))
 
 
 def resolve_eps(cfg_eps: float | str, cells: Sequence[Box], axis: Axis) -> float:
@@ -259,10 +262,6 @@ def cluster_bands(cells: Sequence[Box], axis: Axis, cfg: GridConfig) -> list[Ban
     return bands
 
 
-def _band_index(bands: Sequence[Band], coord: float) -> list[int]:
-    return [i for i, b in enumerate(bands) if b.start <= coord <= b.end]
-
-
 def _band_overlap(box: Box, row: Band, col: Band) -> float:
     """Overlap area of ``box`` with the slot where ``row`` and ``col`` cross."""
     w = min(box.x_max, col.end) - max(box.x_min, col.start)
@@ -296,10 +295,16 @@ def complete_grid(table_box: Box, cells: Sequence[CellHypothesis], cfg: GridConf
         [None] * len(cols) for _ in rows
     ]
     residual: list[CellHypothesis] = []
+    # Bands come from cluster_bands with both their starts and their ends
+    # sorted, so the bands with start <= c <= end are one index range.
+    row_starts, row_ends = [b.start for b in rows], [b.end for b in rows]
+    col_starts, col_ends = [b.start for b in cols], [b.end for b in cols]
     for idx, cell in enumerate(cells):
         box = cell.box
-        row_hits = _band_index(rows, (box.y_min + box.y_max) / 2.0)
-        col_hits = _band_index(cols, (box.x_min + box.x_max) / 2.0)
+        cy = (box.y_min + box.y_max) / 2.0
+        cx = (box.x_min + box.x_max) / 2.0
+        row_hits = range(bisect_left(row_ends, cy), bisect_right(row_starts, cy))
+        col_hits = range(bisect_left(col_ends, cx), bisect_right(col_starts, cx))
         if not row_hits or not col_hits:
             residual.append(cell)
             continue

@@ -38,6 +38,7 @@ RECORD_FLAGS = (
     "inferred_cell",
     "repetition_filled",
     "realigned",
+    "realign_failed",
     "year_inferred",
     "unmatched_parish",
 )
@@ -718,7 +719,7 @@ def read_document(path: str) -> DetectionDocument:
     # other Unicode line separators (U+0085 etc.) pass through verbatim
     # and must not break records the way splitlines() would
     for lineno, raw in enumerate(content.split("\n"), start=1):
-        if not raw.strip():
+        if not raw or raw.isspace():
             continue
         obj = decode_json_line(raw, lineno)
         try:

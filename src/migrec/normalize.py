@@ -151,8 +151,8 @@ def match_parish(raw: str, gazetteer: Gazetteer, max_rel_dist: float = MAX_REL_D
     The search is exact but bounded: forms are visited in order of
     increasing length gap to the folded name, which is a lower bound on
     their distance, so the search ends once that gap exceeds the best
-    distance found so far, and each DP gives up once it exceeds it
-    (:func:`edit_distance` with ``bound``).  Only the best distance prunes,
+    distance found so far, and each distance is taken with it as the
+    bound (:func:`edit_distance` with ``bound``).  Only the best distance prunes,
     never ``max_rel_dist``: the candidates of a tie beyond the cap are part
     of the result.  Callers that match many names memoize per call site
     (``pipeline.match_parishes`` keeps one ``raw -> MatchResult`` dict per

@@ -103,7 +103,9 @@ def deskew_document(
                     transform_box(h, cell.box),
                     cell.class_probs,
                     cell.text,
-                    tuple(CellLine(transform_box(h, line.box), line.text) for line in cell.lines),
+                    tuple(
+                        CellLine(transform_box(h, line.box), line.text) for line in cell.lines
+                    ) if cell.lines else (),
                 )
                 for cell in table.cells
             )
@@ -461,6 +463,7 @@ def process_book(
         cells_residual=sum(len(grid.residual) for grid in grids),
         records=len(records),
         rows_realigned=flags["realigned"],
+        rows_realign_failed=flags["realign_failed"],
         rows_repetition_filled=flags["repetition_filled"],
         rows_with_inferred_cells=flags["inferred_cell"],
     )

@@ -24,6 +24,8 @@ from migrec.evaluation import (
     split_metrics,
 )
 from migrec.interchange import Box
+from migrec.pipeline import deskew_document
+from migrec.synth import SynthConfig, generate_book
 
 from oracles import (
     edit_distance_reference,
@@ -145,12 +147,22 @@ def _assert_matches_reference(pred, gold, thr):
 
 
 # coordinates on a 0.5 px grid, extents down to zero: shared x_min values,
-# duplicated boxes, touching edges and degenerate boxes are all common
-_half_px = st.integers(0, 16).map(lambda k: k / 2)
+# duplicated boxes, touching edges and degenerate boxes are all common, and
+# -0.0 stands next to 0.0, a tie that min() and max() break by position
+_half_px = st.one_of(st.just(-0.0), st.integers(0, 16).map(lambda k: k / 2))
 _half_px_extent = st.integers(0, 10).map(lambda k: k / 2)
 _grid_box = st.builds(
     lambda x, y, w, h: box(x, y, x + w, y + h), _half_px, _half_px, _half_px_extent, _half_px_extent
 )
+
+
+def _deskewed_opening_cells():
+    book = generate_book(SynthConfig(seed=3, skew_degrees=(-3, 3), border_jitter=2.0), 1)
+    fixture = book.openings[0]
+    return tuple(
+        [cell.box for _, table in deskew_document(doc)[0] for cell in table.cells]
+        for doc in (fixture.document, fixture.gold_document)
+    )
 
 
 @st.composite
@@ -171,6 +183,12 @@ def _box_lists(draw):
 @example(([box(0, 0, 2, 4), box(0, 0, 4, 4)], [box(0, 0, 3, 4), box(0, 1, 4, 4)]), 0.5)
 @example(([box(0, 0, 4, 4), box(4, 0, 8, 4)], [box(4, 0, 8, 4), box(0, 4, 4, 8)]), 1e-9)
 @example(([box(2, 0, 2, 4), box(0, 2, 4, 2)], [box(2, 0, 2, 4), box(0, 0, 4, 4)]), 1e-9)
+# signed zero corners against unsigned ones, and equal coordinates throughout
+@example(([box(-0.0, -0.0, 4, 4), box(0.0, 0.0, 4, -0.0)], [box(0.0, -0.0, 4, 4), box(-0.0, 0, 2, 4)]), 1e-9)
+@example(([box(-0.0, 0, 2, 2), box(0, -0.0, 2, 2)], [box(0, 0, 2, 2), box(-0.0, -0.0, 2, 2)]), 0.5)
+@example(([box(1, 1, 1, 1), box(1, 1, 3, 3)], [box(1, 1, 3, 3), box(3, 3, 5, 5)]), 1e-9)
+# the de-skewed cells of a skewed, jittered synthetic opening and its gold
+@example(_deskewed_opening_cells(), 0.5)
 @settings(max_examples=500, deadline=None)
 def test_match_detections_equals_all_pairs_reference(lists, thr):
     pred, gold = lists

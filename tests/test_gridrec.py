@@ -73,11 +73,20 @@ def test_dbscan_labels_follow_input_positions():
 
 @given(
     st.lists(
-        st.floats(min_value=0, max_value=100, allow_nan=False, width=64), min_size=0, max_size=60
+        st.one_of(
+            st.floats(min_value=0, max_value=100, allow_nan=False, width=64),
+            st.sampled_from([0.0, -0.0, 1.0]),
+        ),
+        min_size=0,
+        max_size=60,
     ),
     st.floats(min_value=0.01, max_value=30, allow_nan=False, width=64),
     st.integers(min_value=1, max_value=6),
 )
+# repeated values, and 0.0 next to -0.0: equal keys keep input order
+@example([0.0, -0.0, 0.0, -0.0, 5.0, 5.0, 5.0], 0.5, 2)
+@example([-0.0, 0.0, 3.0, -0.0, 3.0, 0.0, 6.0], 3.0, 3)
+@example([2.0, 2.0, -0.0, 2.0, 0.0, 4.0, 4.0], 2.0, 4)
 @settings(max_examples=150, deadline=None)
 def test_dbscan_matches_bruteforce_reference(values, eps, min_pts):
     assert dbscan_1d(values, eps, min_pts) == dbscan_reference(values, eps, min_pts)

@@ -109,21 +109,52 @@ def test_gazetteer_file_round_trip(tmp_path):
     assert loaded.entries == GAZ.entries
 
 
+@st.composite
+def _long_text_pairs(draw):
+    """Two strings of more than 64 characters with å, ä, ö, spaces and ':'.
+
+    Their bit vectors are wider than one machine word.  ``b`` is either
+    drawn on its own or made from ``a`` by a few edits, so that distances
+    under the small bounds occur as well as large ones.
+    """
+    text = st.text(alphabet="aåäöb :", min_size=65, max_size=140)
+    a = draw(text)
+    if draw(st.booleans()):
+        return a, draw(text)
+    b = list(a)
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(b) - 1))
+        op = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if op == "delete":
+            del b[i]
+        elif op == "insert":
+            b.insert(i, draw(st.sampled_from("aåäöb :")))
+        else:
+            b[i] = draw(st.sampled_from("aåäöb :"))
+    return a, "".join(b)
+
+
 @given(
-    st.text(alphabet="abcdefö", max_size=30),
-    st.text(alphabet="abcdefö", max_size=30),
+    st.one_of(
+        st.tuples(st.text(alphabet="abcdefö", max_size=30), st.text(alphabet="abcdefö", max_size=30)),
+        _long_text_pairs(),
+    )
 )
 @settings(max_examples=200, deadline=None)
-def test_edit_distance_matches_reference(a, b):
+def test_edit_distance_matches_reference(pair):
+    a, b = pair
     assert edit_distance(a, b) == edit_distance_reference(a, b)
 
 
 @given(
-    st.text(alphabet="abcdefö", max_size=12),
-    st.text(alphabet="abcdefö", max_size=12),
+    st.one_of(
+        st.tuples(st.text(alphabet="abcdefö", max_size=12), st.text(alphabet="abcdefö", max_size=12)),
+        _long_text_pairs(),
+    )
 )
 @settings(max_examples=150, deadline=None)
-def test_bounded_edit_distance_matches_reference_at_every_bound(a, b):
+def test_bounded_edit_distance_matches_reference_at_every_bound(pair):
+    a, b = pair
     exact = edit_distance_reference(a, b)
     assert edit_distance(a, b, bound=None) == exact
     for bound in range(max(len(a), len(b)) + 1):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from migrec.cells import read_schema_file
+from migrec.cells import ColumnSchema, read_schema_file
 from migrec.chrono import ChronoConfig
 from migrec.cli import (
     EXIT_FATAL,
@@ -29,8 +29,12 @@ from migrec.cli import (
 from migrec.geometry import Homography, transform_box
 from migrec.gridrec import GridConfig
 from migrec.interchange import (
+    Box,
+    CellHypothesis,
+    DetectionDocument,
     MigrationRecord,
     TableDetection,
+    TextHypothesis,
     read_document,
     read_records,
     write_document,
@@ -235,6 +239,30 @@ def test_extract_summary_counts_hold_no_zero(corpus, tmp_path, truncated):
     counts = json.loads((tmp_path / "records.csv.summary.json").read_text())["counts"]
     assert counts.get("openings_failed", 0) == int(truncated)
     assert {key: n for key, n in counts.items() if n == 0} == {}
+
+
+def test_a_row_that_fails_realignment_is_flagged_and_counted(tmp_path):
+    # two rows of four cells; the second holds only numbers, which fits no
+    # shift of an all-text schema, so it fails realignment and loses its parish
+    schema = ColumnSchema(labels=("a", "b", "c", "parish"), kinds=("text", "text", "text", "parish"),
+                          avg_lens=(10.0, 10.0, 10.0, 10.0))
+    rows = (("Anna Berg", "piika", "Maria", "Turku"), ("123", "456", "789", "12"))
+    cells = tuple(
+        CellHypothesis(Box(100.0 * c, 50.0 + 40.0 * r, 100.0 * (c + 1), 90.0 + 40.0 * r, 0.9),
+                       (1.0, 0.0, 0.0, 0.0), TextHypothesis(text, 0.9))
+        for r, row in enumerate(rows) for c, text in enumerate(row)
+    )
+    doc = DetectionDocument("b_op0001", "b", 1000, 400, "handdrawn",
+                            tables=(TableDetection(Box(0.0, 50.0, 400.0, 130.0, 0.9), cells),))
+    write_document(doc, str(tmp_path / "b_op0001.jsonl"))
+    result = process_book("b", [str(tmp_path / "b_op0001.jsonl")],
+                          PipelineOptions(schemas={"handdrawn": schema}))
+    assert result.summary["rows_realign_failed"] == 1
+    assert "rows_realigned" not in result.summary  # no count is written as 0
+    expected, failed = result.records
+    assert (expected.parish_raw, expected.flags) == ("Turku", frozenset())
+    assert failed.parish_raw is None
+    assert failed.flags == {"realign_failed"}
 
 
 def test_extract_empty_directory_is_fatal(tmp_path):

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .evaluation import is_textual_line
 from .interchange import (
     CELL_CLASSES,
     CellHypothesis,
@@ -63,8 +64,7 @@ def fill_repetitions(
 
 def is_numeric_text(text: str) -> bool:
     """Digits and punctuation only (no letters), non-empty."""
-    stripped = text.strip()
-    return bool(stripped) and not any(ch.isalpha() for ch in stripped)
+    return bool(text.strip()) and not is_textual_line(text)
 
 
 def is_date_text(text: str) -> bool:
@@ -76,13 +76,7 @@ def is_date_text(text: str) -> bool:
     return any(token in lowered for token in MONTH_TOKENS)
 
 
-def is_text_like(text: str) -> bool:
-    return any(ch.isalpha() for ch in text)
-
-
-def _kind_score(text: str | None, kind: str) -> float:
-    if text is None or not text.strip():
-        return 0.5  # empty cells are uninformative, neither match nor mismatch
+def _kind_score(text: str, kind: str) -> float:
     if kind == "any":
         return 1.0
     if kind == "numeric":
@@ -90,12 +84,8 @@ def _kind_score(text: str | None, kind: str) -> float:
     if kind == "date":
         return 1.0 if is_date_text(text) else 0.0
     if kind in ("text", "parish"):
-        return 1.0 if is_text_like(text) else 0.0
+        return 1.0 if is_textual_line(text) else 0.0
     raise ValueError(f"unknown column kind {kind!r}")
-
-
-def _length_closeness(text: str, avg_len: float) -> float:
-    return max(0.0, 1.0 - abs(len(text) - avg_len) / max(avg_len, 1.0))
 
 
 @dataclass(frozen=True)
@@ -167,7 +157,8 @@ def write_schema_file(schema: ColumnSchema, path: str) -> None:
 
 
 REALIGN_THRESHOLD = 0.5
-REALIGN_WINDOW = 2
+# Smallest shift first, leftward before rightward; the first best score wins.
+REALIGN_SHIFTS = (0, -1, 1, -2, 2)
 
 
 @dataclass(frozen=True)
@@ -178,10 +169,13 @@ class RowAlignment:
 
 
 def _column_score(text: str | None, kind: str, avg_len: float | None) -> float:
+    if text is None or not text.strip():
+        return 0.5  # empty cells are uninformative, neither match nor mismatch
     kind_score = _kind_score(text, kind)
-    if avg_len is None or text is None or not text.strip():
+    if avg_len is None:
         return kind_score
-    return 0.5 * kind_score + 0.5 * _length_closeness(text, avg_len)
+    closeness = max(0.0, 1.0 - abs(len(text) - avg_len) / max(avg_len, 1.0))
+    return 0.5 * kind_score + 0.5 * closeness
 
 
 def realign_columns(row_texts: Sequence[str | None], schema: ColumnSchema) -> RowAlignment:
@@ -192,46 +186,38 @@ def realign_columns(row_texts: Sequence[str | None], schema: ColumnSchema) -> Ro
     Otherwise alignments shifted by -2..+2 positions are scored by kind
     compatibility blended with text-length closeness, and the best is taken
     if its mean score exceeds the threshold; failing that the row is marked
-    ``failed`` and the parish field is left empty.
+    ``failed``, maps positionally and the parish field is left empty.
     """
     n = len(schema.labels)
     if len(row_texts) == n and all(
-        _kind_score(row_texts[i], schema.kinds[i]) >= REALIGN_THRESHOLD for i in range(n)
+        _column_score(text, kind, None) >= REALIGN_THRESHOLD for text, kind in zip(row_texts, schema.kinds)
     ):
-        return RowAlignment(
-            mapping={label: row_texts[i] for i, label in enumerate(schema.labels)},
-            status="expected",
-            shift=0,
-        )
-
-    best: tuple[float, int] | None = None
-    for shift in sorted(range(-REALIGN_WINDOW, REALIGN_WINDOW + 1), key=lambda s: (abs(s), s)):
-        total = 0.0
-        for i in range(n):
-            src = i + shift
-            if 0 <= src < len(row_texts):
-                total += _column_score(row_texts[src], schema.kinds[i], schema.avg_len(i))
-            # sources shifted outside the row contribute zero
-        score = total / n
-        if best is None or score > best[0]:
-            best = (score, shift)
-
-    score, shift = best
-    if score > REALIGN_THRESHOLD:
-        mapping = {}
-        for i, label in enumerate(schema.labels):
-            src = i + shift
-            mapping[label] = row_texts[src] if 0 <= src < len(row_texts) else None
-        return RowAlignment(mapping=mapping, status="realigned", shift=shift)
+        status, shift = "expected", 0
+    else:
+        scores = []
+        for candidate in REALIGN_SHIFTS:
+            total = 0.0
+            for i in range(n):
+                src = i + candidate
+                if 0 <= src < len(row_texts):
+                    total += _column_score(row_texts[src], schema.kinds[i], schema.avg_len(i))
+                # sources shifted outside the row contribute zero
+            scores.append(total / n)
+        best = max(scores)
+        if best > REALIGN_THRESHOLD:
+            status, shift = "realigned", REALIGN_SHIFTS[scores.index(best)]
+        else:
+            status, shift = "failed", 0
 
     mapping = {
-        label: (row_texts[i] if i < len(row_texts) else None)
+        label: row_texts[i + shift] if 0 <= i + shift < len(row_texts) else None
         for i, label in enumerate(schema.labels)
     }
-    parish = schema.parish_label()
-    if parish is not None:
-        mapping[parish] = None
-    return RowAlignment(mapping=mapping, status="failed", shift=0)
+    if status == "failed":
+        parish = schema.parish_label()
+        if parish is not None:
+            mapping[parish] = None
+    return RowAlignment(mapping=mapping, status=status, shift=shift)
 
 
 def cell_text(cell: CellHypothesis) -> str | None:
@@ -265,47 +251,37 @@ def assemble_records(
     scores above the threshold: the row keeps no parish) and year
     provenance.
     """
-    n_rows, n_cols = grid.n_rows, grid.n_cols
-    types = [
-        [dominant_class(grid.cells[r][c].hyp.class_probs) for c in range(n_cols)]
-        for r in range(n_rows)
+    classes = [[dominant_class(cell.hyp.class_probs) for cell in row] for row in grid.cells]
+    columns = [
+        fill_repetitions([(kinds[c], cell_text(row[c].hyp)) for kinds, row in zip(classes, grid.cells)])
+        for c in range(grid.n_cols)
     ]
-    raw_texts = [[cell_text(grid.cells[r][c].hyp) for c in range(n_cols)] for r in range(n_rows)]
-
-    filled = [[None] * n_cols for _ in range(n_rows)]
-    filled_flags = [[False] * n_cols for _ in range(n_rows)]
-    for c in range(n_cols):
-        column = [(types[r][c], raw_texts[r][c]) for r in range(n_rows)]
-        resolved = fill_repetitions(column)
-        for r in range(n_rows):
-            filled[r][c] = resolved[r]
-            filled_flags[r][c] = types[r][c] == "repetition" and resolved[r] is not None
+    parish_label = schema.parish_label() if schema is not None else None
+    year_flag = {"year_inferred"} if year_inferred and year is not None else set()
 
     records = []
-    for r in range(n_rows):
-        if all(t == "empty" for t in types[r]):
+    for r, (kinds, cells) in enumerate(zip(classes, grid.cells)):
+        if all(kind == "empty" for kind in kinds):
             continue
-        flags = set()
-        if any(grid.cells[r][c].provenance == "inferred" for c in range(n_cols)):
+        texts = [column[r] for column in columns]
+        flags = set(year_flag)
+        if any(cell.provenance == "inferred" for cell in cells):
             flags.add("inferred_cell")
-        if any(filled_flags[r]):
+        if any(kind == "repetition" and text is not None for kind, text in zip(kinds, texts)):
             flags.add("repetition_filled")
-        if year_inferred and year is not None:
-            flags.add("year_inferred")
 
         parish_raw = None
         if schema is not None:
-            alignment = realign_columns(filled[r], schema)
+            alignment = realign_columns(texts, schema)
             if alignment.status == "realigned":
                 flags.add("realigned")
             elif alignment.status == "failed":
                 flags.add("realign_failed")
             fields = {label: alignment.mapping[label] or "" for label in schema.labels}
-            parish_label = schema.parish_label()
             if parish_label is not None:
-                parish_raw = alignment.mapping.get(parish_label) or None
+                parish_raw = alignment.mapping[parish_label] or None
         else:
-            fields = {f"col_{c}": filled[r][c] or "" for c in range(n_cols)}
+            fields = {f"col_{c}": text or "" for c, text in enumerate(texts)}
 
         records.append(
             MigrationRecord(

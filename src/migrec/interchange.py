@@ -463,8 +463,7 @@ def validate_document(doc: DetectionDocument) -> None:
         validate_box(table.box, f"tables[{t}].box")
         for c, cell in enumerate(table.cells):
             try:
-                probs = normalize_class_probs(cell.class_probs)
-                if any(abs(a - b) > 0 for a, b in zip(probs, cell.class_probs)):
+                if normalize_class_probs(cell.class_probs) != tuple(cell.class_probs):
                     raise ValidationError("class probabilities are not normalized", "class_probs")
                 _validate_cell(cell, table.box)
             except ValidationError as exc:

@@ -441,7 +441,7 @@ def process_book(
         schema = options.schemas.get(opening.layout_type)
         for side, grid in opening.grids:
             page = resolved[(opening.opening_id, side)]  # every opening's pages are resolved
-            year_inferred = page.source != "observed" and page.year is not None
+            year_inferred = page.source != "observed"
             direction = mode if mode in ("in", "out") else ("in" if side == "left" else "out")
             records += assemble_records(grid, page.year, direction, schema, side, book_id=book_id,
                                         opening_id=opening.opening_id, year_inferred=year_inferred)

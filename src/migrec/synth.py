@@ -92,6 +92,9 @@ class SynthesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Ranges and probabilities of one synthetic corpus.  Cell dropout keeps
+    two cells in every table row and column: a two-column table draws none."""
+
     seed: int = 0
     rows: tuple[int, int] = (6, 12)
     cols: tuple[int, int] = (5, 5)
@@ -569,8 +572,9 @@ def _sample_dropout(
         return ()
     for _ in range(_DROPOUT_RETRIES):
         dropped = []
-        ok = True
         for t, grid in enumerate(grids):
+            if grid.n_cols == 2:
+                continue  # a drop would leave a row one cell: no draw could be kept
             kept_per_row = [grid.n_cols] * grid.n_rows
             kept_per_col = [grid.n_rows] * grid.n_cols
             table_drops = []
@@ -581,10 +585,9 @@ def _sample_dropout(
                         kept_per_row[r] -= 1
                         kept_per_col[c] -= 1
             if min(kept_per_row) < 2 or min(kept_per_col) < 2:
-                ok = False
                 break
             dropped.extend(table_drops)
-        if ok:
+        else:
             return tuple(dropped)
     raise SynthesisError(
         "cell dropout kept emptying a row or column below the minimum support; "
@@ -820,7 +823,8 @@ def write_corpus(
 
     Returns the paths of the pieces: observed and gold document directories,
     gold records, gold page years, the column schema directory and the
-    sample gazetteer.
+    sample gazetteer.  The schema directory holds ``preprinted.tsv`` only
+    when every preprinted gold table has the schema's five columns.
     """
     out = Path(out_dir)
     observed_dir = out / "observed"
@@ -844,8 +848,14 @@ def write_corpus(
     years_path = out / "gold_years.csv"
     write_csv(years_path, ("opening_id", "side", "year"), page_years)
 
-    schema_path = schema_dir / "preprinted.tsv"
-    write_schema_file(DEFAULT_SCHEMA, str(schema_path))
+    if all(
+        gold_table.grid.n_cols == len(DEFAULT_SCHEMA.labels)
+        for book in books
+        for fixture in book.openings
+        if fixture.document.layout_type == "preprinted"
+        for gold_table in fixture.gold_tables
+    ):
+        write_schema_file(DEFAULT_SCHEMA, str(schema_dir / "preprinted.tsv"))
     gazetteer_path = out / "gazetteer.tsv"
     sample_gazetteer().to_file(str(gazetteer_path))
     return {

@@ -14,6 +14,10 @@ it scored every document inline, verbatim: the eval reports must stay the
 same bytes.  ``complete_grid_reference`` keeps grid completion's slot
 placement as it was when it scored every candidate slot through a slot
 ``Box``: the placed cells and the residuals must stay the same.
+``assemble_records_reference`` and ``realign_columns_reference`` keep
+record assembly as it was when it built per-cell type, text and fill
+matrices and wrote a row's column mapping once per outcome: the records
+and alignments must stay the same.
 """
 
 from __future__ import annotations
@@ -26,9 +30,17 @@ import math
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 from migrec import evaluation as ev
-from migrec.cells import cell_text
+from migrec.cells import (
+    REALIGN_THRESHOLD,
+    ColumnSchema,
+    RowAlignment,
+    cell_text,
+    fill_repetitions,
+    is_date_text,
+)
 from migrec.chrono import ChronoConfig, PageObservations, evaluate_years, infer_sequence
 from migrec.cli import EXIT_FATAL, EXIT_OK, _document_paths
 from migrec.geometry import PointAtInfinityError, angle_stats, apply_point, edge_angle_from_vertical
@@ -1027,3 +1039,168 @@ def cmd_eval_reference(
 
     log.info("evaluation reports written to %s", out)
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# Record assembly: per-cell matrices, one mapping built per outcome
+# ---------------------------------------------------------------------------
+
+REALIGN_WINDOW = 2
+
+
+def is_numeric_text_reference(text: str) -> bool:
+    """Digits and punctuation only (no letters), non-empty."""
+    stripped = text.strip()
+    return bool(stripped) and not any(ch.isalpha() for ch in stripped)
+
+
+def _kind_score_reference(text: str | None, kind: str) -> float:
+    if text is None or not text.strip():
+        return 0.5  # empty cells are uninformative, neither match nor mismatch
+    if kind == "any":
+        return 1.0
+    if kind == "numeric":
+        return 1.0 if is_numeric_text_reference(text) else 0.0
+    if kind == "date":
+        return 1.0 if is_date_text(text) else 0.0
+    if kind in ("text", "parish"):
+        return 1.0 if any(ch.isalpha() for ch in text) else 0.0
+    raise ValueError(f"unknown column kind {kind!r}")
+
+
+def _length_closeness_reference(text: str, avg_len: float) -> float:
+    return max(0.0, 1.0 - abs(len(text) - avg_len) / max(avg_len, 1.0))
+
+
+def _column_score_reference(text: str | None, kind: str, avg_len: float | None) -> float:
+    kind_score = _kind_score_reference(text, kind)
+    if avg_len is None or text is None or not text.strip():
+        return kind_score
+    return 0.5 * kind_score + 0.5 * _length_closeness_reference(text, avg_len)
+
+
+def realign_columns_reference(row_texts: Sequence[str | None], schema: ColumnSchema) -> RowAlignment:
+    """Map one row of cell texts onto schema labels.
+
+    A row with the expected column count whose every non-empty cell matches
+    its column's data kind maps positionally (status ``expected``).
+    Otherwise alignments shifted by -2..+2 positions are scored by kind
+    compatibility blended with text-length closeness, and the best is taken
+    if its mean score exceeds the threshold; failing that the row is marked
+    ``failed`` and the parish field is left empty.
+    """
+    n = len(schema.labels)
+    if len(row_texts) == n and all(
+        _kind_score_reference(row_texts[i], schema.kinds[i]) >= REALIGN_THRESHOLD for i in range(n)
+    ):
+        return RowAlignment(
+            mapping={label: row_texts[i] for i, label in enumerate(schema.labels)},
+            status="expected",
+            shift=0,
+        )
+
+    best: tuple[float, int] | None = None
+    for shift in sorted(range(-REALIGN_WINDOW, REALIGN_WINDOW + 1), key=lambda s: (abs(s), s)):
+        total = 0.0
+        for i in range(n):
+            src = i + shift
+            if 0 <= src < len(row_texts):
+                total += _column_score_reference(row_texts[src], schema.kinds[i], schema.avg_len(i))
+            # sources shifted outside the row contribute zero
+        score = total / n
+        if best is None or score > best[0]:
+            best = (score, shift)
+
+    score, shift = best
+    if score > REALIGN_THRESHOLD:
+        mapping = {}
+        for i, label in enumerate(schema.labels):
+            src = i + shift
+            mapping[label] = row_texts[src] if 0 <= src < len(row_texts) else None
+        return RowAlignment(mapping=mapping, status="realigned", shift=shift)
+
+    mapping = {
+        label: (row_texts[i] if i < len(row_texts) else None)
+        for i, label in enumerate(schema.labels)
+    }
+    parish = schema.parish_label()
+    if parish is not None:
+        mapping[parish] = None
+    return RowAlignment(mapping=mapping, status="failed", shift=0)
+
+
+def assemble_records_reference(
+    grid: GridTable,
+    year: int | None,
+    direction: str,
+    schema: ColumnSchema | None,
+    side: str,
+    *,
+    book_id: str = "",
+    opening_id: str = "",
+    year_inferred: bool = False,
+) -> list[MigrationRecord]:
+    """Turn a completed grid into one migration record per non-empty row.
+
+    Repetition fill is applied per column (idempotent, so pre-filled grids
+    are safe).  Rows whose every cell is typed empty are elided: they are
+    ruled lines without entries, not records.  Flags capture inferred cells,
+    repetition fills, realignment (``realign_failed`` when no alignment
+    scores above the threshold: the row keeps no parish) and year
+    provenance.
+    """
+    n_rows, n_cols = grid.n_rows, grid.n_cols
+    types = [
+        [dominant_class(grid.cells[r][c].hyp.class_probs) for c in range(n_cols)]
+        for r in range(n_rows)
+    ]
+    raw_texts = [[cell_text(grid.cells[r][c].hyp) for c in range(n_cols)] for r in range(n_rows)]
+
+    filled = [[None] * n_cols for _ in range(n_rows)]
+    filled_flags = [[False] * n_cols for _ in range(n_rows)]
+    for c in range(n_cols):
+        column = [(types[r][c], raw_texts[r][c]) for r in range(n_rows)]
+        resolved = fill_repetitions(column)
+        for r in range(n_rows):
+            filled[r][c] = resolved[r]
+            filled_flags[r][c] = types[r][c] == "repetition" and resolved[r] is not None
+
+    records = []
+    for r in range(n_rows):
+        if all(t == "empty" for t in types[r]):
+            continue
+        flags = set()
+        if any(grid.cells[r][c].provenance == "inferred" for c in range(n_cols)):
+            flags.add("inferred_cell")
+        if any(filled_flags[r]):
+            flags.add("repetition_filled")
+        if year_inferred and year is not None:
+            flags.add("year_inferred")
+
+        parish_raw = None
+        if schema is not None:
+            alignment = realign_columns_reference(filled[r], schema)
+            if alignment.status == "realigned":
+                flags.add("realigned")
+            elif alignment.status == "failed":
+                flags.add("realign_failed")
+            fields = {label: alignment.mapping[label] or "" for label in schema.labels}
+            parish_label = schema.parish_label()
+            if parish_label is not None:
+                parish_raw = alignment.mapping.get(parish_label) or None
+        else:
+            fields = {f"col_{c}": filled[r][c] or "" for c in range(n_cols)}
+
+        records.append(
+            MigrationRecord(
+                book_id=book_id,
+                opening_id=opening_id,
+                page_side=side,
+                direction=direction,
+                year=year,
+                fields=fields,
+                parish_raw=parish_raw,
+                flags=frozenset(flags),
+            )
+        )
+    return records

@@ -24,7 +24,7 @@ from migrec.interchange import (
     normalize_class_probs,
 )
 
-from oracles import fill_repetitions_reference
+from oracles import assemble_records_reference, fill_repetitions_reference, realign_columns_reference
 
 
 def probs_for(kind):
@@ -216,6 +216,76 @@ def test_realign_zero_shift_on_perfect_row_is_identity():
     result = realign_columns(row, SCHEMA)
     assert result.status == "expected"
     assert result.mapping == dict(zip(SCHEMA.labels, row))
+
+
+# Texts of every data kind: numbers, dates, words, punctuation and blanks.
+CELL_TEXTS = st.one_of(
+    st.sampled_from(("12", "296", "9.1.", "12/3", "45.99.", "14 maaliskuuta", "Rautalampi",
+                     "Maria Sirkka, piika", "s. 296", "H:fors", "-", "", " ")),
+    st.text(alphabet="0123456789./ aåb", max_size=12),
+)
+FIVE_COLUMNS = ColumnSchema(
+    labels=("ref_no", "date", "name", "parish", "comm_book"),
+    kinds=("numeric", "date", "text", "parish", "any"),
+    avg_lens=(2.0, 5.0, 20.0, 9.0, 3.0),
+)
+# Without lengths, and with alternating kinds, shifts often score alike.
+FIVE_KINDS = ColumnSchema(FIVE_COLUMNS.labels, FIVE_COLUMNS.kinds)
+ALTERNATING = ColumnSchema(
+    labels=("a", "b", "c", "d", "e"), kinds=("text", "numeric", "parish", "numeric", "text")
+)
+SCHEMAS = (None, FIVE_COLUMNS, FIVE_KINDS, ALTERNATING)
+
+
+@given(st.lists(st.one_of(st.none(), CELL_TEXTS), min_size=3, max_size=7), st.sampled_from(SCHEMAS[1:]))
+@settings(max_examples=400, deadline=None)
+def test_realign_matches_reference(row, schema):
+    got, want = realign_columns(row, schema), realign_columns_reference(row, schema)
+    assert got == want
+    assert list(got.mapping) == list(want.mapping)
+
+
+@pytest.mark.parametrize(
+    "row, shift",  # the shifts that tie for the best score, in the order tried
+    [
+        (["9.1.", "Anna", "9.1.", "Anna", "Anna"], 0),  # 0, -1 and +1
+        (["9.1.", "Anna", "9.1.", "12", "Anna", "12"], -1),  # -1 and +1
+        (["Anna", "Anna", "12", "9.1.", "Anna"], -2),  # -2 and +2
+        (["Anna", "Anna", "9.1.", "Anna", "Anna"], 1),  # +1 and -2
+        (["Anna", "Anna", "Anna", "Anna", "Anna", "Anna", "12"], 0),  # all five
+    ],
+)
+def test_realign_ties_take_the_first_shift_in_order(row, shift):
+    assert realign_columns(row, FIVE_KINDS) == realign_columns_reference(row, FIVE_KINDS)
+    assert realign_columns(row, FIVE_KINDS).shift == shift
+
+
+GRID_CELLS = st.tuples(
+    st.sampled_from(("single_line", "multi_line", "repetition", "empty")),
+    st.one_of(st.none(), CELL_TEXTS, st.lists(CELL_TEXTS, min_size=1, max_size=3).map("|".join)),
+    st.sampled_from(("detected", "detected", "inferred")),
+)
+
+
+@st.composite
+def grids(draw):
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(3, 7))
+    cells = [draw(st.lists(GRID_CELLS, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    for r in draw(st.sets(st.integers(0, n_rows - 1))):
+        cells[r] = [("empty", None, "detected")] * n_cols
+    spec = [[(kind, text) for kind, text, _ in row] for row in cells]
+    provenance = [[prov for _, _, prov in row] for row in cells]
+    return make_grid(spec, provenance=provenance)
+
+
+@given(grids(), st.sampled_from(SCHEMAS), st.sampled_from((None, 1881)), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_assemble_matches_reference(grid, schema, year, year_inferred):
+    args = (grid, year, "in", schema, "left")
+    kwargs = dict(book_id="b", opening_id="o", year_inferred=year_inferred)
+    got, want = assemble_records(*args, **kwargs), assemble_records_reference(*args, **kwargs)
+    assert got == want
+    assert [list(r.fields) for r in got] == [list(r.fields) for r in want]
 
 
 # --- schema files ------------------------------------------------------------------

@@ -107,7 +107,8 @@ def test_inverted_cell_box_names_the_cell():
 
 def test_cell_outside_table_rejected_beyond_tolerance():
     inside_tolerance = make_cell(3.5, 5.0, 50.0, 30.0)  # 1.5 px overhang
-    validate_document(make_document(cells=(inside_tolerance,)))
+    probs_as_list = make_cell(10, 10, 50, 30, probs=[0.25, 0.75, 0.0, 0.0])  # normalized
+    validate_document(make_document(cells=(inside_tolerance, probs_as_list)))
     outgrown = make_cell(1.0, 5.0, 50.0, 30.0)  # 4 px overhang
     with pytest.raises(ValidationError):
         validate_document(make_document(cells=(outgrown,)))

@@ -638,6 +638,8 @@ def test_narrow_layouts_extract_their_gold_records(tmp_path, cols, layout):
     # without schemas, its records are col_<i> fields
     cfg = SynthConfig(seed=0, cols=cols, layout=layout)
     assert cmd_synth(str(tmp_path / "c"), cfg, openings_per_book=5) == EXIT_OK
+    # no five-column schema ships with narrow preprinted tables
+    assert (tmp_path / "c" / "schemas" / "preprinted.tsv").exists() is (layout != "preprinted")
     out_path = tmp_path / "records.jsonl"
     assert cmd_extract(str(tmp_path / "c" / "observed"), str(out_path), PipelineOptions()) == EXIT_OK
     gold = read_records(str(tmp_path / "c" / "gold_records.jsonl"), format="jsonl")

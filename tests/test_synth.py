@@ -69,6 +69,12 @@ def test_dropout_reproducible_and_bounded():
             assert sum(1 for r in range(grid.n_rows) if (r, c) not in dropped_here) >= 2
 
 
+def test_two_column_tables_draw_no_dropout():
+    for seed in range(20):
+        fixture = generate_opening(SynthConfig(seed=seed, cols=(2, 2), cell_dropout_prob=0.1))
+        assert fixture.perturbations.dropped == ()
+
+
 def test_excessive_dropout_raises():
     with pytest.raises(SynthesisError):
         generate_opening(SynthConfig(seed=3, rows=(2, 2), cell_dropout_prob=0.9))

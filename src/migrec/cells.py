@@ -221,9 +221,14 @@ def realign_columns(row_texts: Sequence[str | None], schema: ColumnSchema) -> Ro
 
 
 def cell_text(cell: CellHypothesis) -> str | None:
-    """Best available text for a cell; multi-line texts joined with spaces."""
-    kind = dominant_class(cell.class_probs)
-    if kind == "multi_line" and cell.lines:
+    """Best available text for a cell; multi-line texts joined with spaces.
+
+    Only a multi-line cell carries lines: ``read_document`` and
+    ``validate_document`` reject lines on a cell of any other class, de-skew
+    copies them and inferred cells have none.  So the lines alone mark a
+    multi-line cell, and the class is not taken again here.
+    """
+    if cell.lines:
         parts = [line.text.text for line in cell.lines if line.text.text]
         return " ".join(parts) if parts else None
     if cell.text is not None and cell.text.text:

@@ -17,6 +17,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .cells import ColumnSchema, write_schema_file
 from .geometry import Homography, estimate_homography, transform_box
 from .gridrec import Band, GridCell, GridTable
 from .interchange import (
+    CELL_CLASSES,
     Box,
     CellHypothesis,
     CellLine,
@@ -93,7 +95,8 @@ class SynthesisError(RuntimeError):
 @dataclass(frozen=True)
 class SynthConfig:
     """Ranges and probabilities of one synthetic corpus.  Cell dropout keeps
-    two cells in every table row and column: a two-column table draws none."""
+    two cells in every table row and column: a table of two rows or two
+    columns draws none."""
 
     seed: int = 0
     rows: tuple[int, int] = (6, 12)
@@ -124,30 +127,17 @@ class SynthConfig:
             raise ValueError("layout must be handdrawn or preprinted")
 
 
-def _read_lines(name: str) -> tuple[str, ...]:
+@cache
+def _vocab(name: str) -> tuple[str, ...]:
     text = resources.files("migrec.data").joinpath(name).read_text(encoding="utf-8")
     return tuple(line.strip() for line in text.splitlines() if line.strip())
 
 
-_VOCAB_CACHE: dict[str, tuple[str, ...]] = {}
-
-
-def _vocab(name: str) -> tuple[str, ...]:
-    if name not in _VOCAB_CACHE:
-        _VOCAB_CACHE[name] = _read_lines(name)
-    return _VOCAB_CACHE[name]
-
-
-_GAZETTEER: Gazetteer | None = None
-
-
+@cache
 def sample_gazetteer() -> Gazetteer:
     """The packaged sample gazetteer (50 parishes, variants included)."""
-    global _GAZETTEER
-    if _GAZETTEER is None:
-        with resources.as_file(resources.files("migrec.data").joinpath("parishes.tsv")) as p:
-            _GAZETTEER = Gazetteer.from_file(str(p))
-    return _GAZETTEER
+    with resources.as_file(resources.files("migrec.data").joinpath("parishes.tsv")) as p:
+        return Gazetteer.from_file(str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +187,6 @@ class OpeningFixture:
     gold_document: DetectionDocument
     gold_tables: tuple[GoldTable, ...]
     gold_records: tuple[MigrationRecord, ...]
-    gold_keypoints: OpeningKeypoints
-    gold_years: dict[str, int]
     perturbations: PerturbationLog
 
 
@@ -378,8 +366,6 @@ class _GoldRow:
     texts: list[str | None]       # raw text on the cell (None for repetition/empty)
     resolved: list[str | None]    # after repetition fill
     parish_canonical: str | None
-    filled_any: bool
-    all_empty: bool
 
 
 def _make_rows(rng: random.Random, n_rows: int, n_cols: int, gazetteer: Gazetteer) -> list[_GoldRow]:
@@ -399,8 +385,6 @@ def _make_rows(rng: random.Random, n_rows: int, n_cols: int, gazetteer: Gazettee
                     texts=[None] * n_cols,
                     resolved=[None] * n_cols,
                     parish_canonical=None,
-                    filled_any=False,
-                    all_empty=True,
                 )
             )
             continue
@@ -421,45 +405,33 @@ def _make_rows(rng: random.Random, n_rows: int, n_cols: int, gazetteer: Gazettee
             parish_text = rng.choice(variants)
         else:
             parish_text = canonical
-        filled_any = False
+        # a repetition mark stands for the parish of the last row that wrote one
         if carry_parish is not None and rng.random() < _P_REPETITION:
             types[3] = "repetition"
-            texts[3] = None
-            filled_any = True
         else:
-            texts[3] = parish_text
-            carry_parish = parish_text
+            texts[3] = carry_parish = parish_text
             carry_canonical = canonical
 
         if rng.random() < _P_EMPTY_COMM:
             types[4] = "empty"
-            texts[4] = None
         else:
             texts[4] = str(rng.randint(1, 420))
 
-        resolved = list(texts)
-        if types[3] == "repetition":
-            resolved[3] = carry_parish
-        row_canonical = carry_canonical if types[3] == "repetition" else canonical
-        if n_cols != 5:
-            # narrower layouts reuse the first n_cols template columns
-            types = types[:n_cols]
-            texts = texts[:n_cols]
-            resolved = resolved[:n_cols]
-            filled_any = "repetition" in types and filled_any
-            if n_cols <= 3:
-                row_canonical = None
+        resolved = [*texts[:3], carry_parish, *texts[4:]]
+        # narrower layouts reuse the first n_cols template columns
         rows.append(
             _GoldRow(
-                types=types,
-                texts=texts,
-                resolved=resolved,
-                parish_canonical=row_canonical,
-                filled_any=filled_any,
-                all_empty=False,
+                types=types[:n_cols],
+                texts=texts[:n_cols],
+                resolved=resolved[:n_cols],
+                parish_canonical=carry_canonical,
             )
         )
     return rows
+
+
+# The class distribution of a gold cell: all its mass on its own class.
+_ONE_HOT = {cls: tuple(float(other == cls) for other in CELL_CLASSES) for cls in CELL_CLASSES}
 
 
 def _build_gold_table(
@@ -486,17 +458,11 @@ def _build_gold_table(
             box = Box(col_edges[c], row_edges[r], col_edges[c + 1], row_edges[r + 1], 1.0)
             cell_type = spec.types[c]
             text = spec.texts[c]
-            probs = {
-                "single_line": (1.0, 0.0, 0.0, 0.0),
-                "multi_line": (0.0, 1.0, 0.0, 0.0),
-                "repetition": (0.0, 0.0, 1.0, 0.0),
-                "empty": (0.0, 0.0, 0.0, 1.0),
-            }[cell_type]
             lines: tuple[CellLine, ...] = ()
             hyp_text = None
-            if cell_type == "single_line" and text is not None:
+            if cell_type == "single_line":
                 hyp_text = TextHypothesis(text, 0.9)
-            elif cell_type == "multi_line" and text is not None:
+            elif cell_type == "multi_line":
                 head, _, tail = text.rpartition(", ")
                 mid_y = (row_edges[r] + row_edges[r + 1]) / 2.0
                 lines = (
@@ -511,7 +477,7 @@ def _build_gold_table(
                 )
             row_cells.append(
                 GridCell(
-                    CellHypothesis(box=box, class_probs=probs, text=hyp_text, lines=lines),
+                    CellHypothesis(box=box, class_probs=_ONE_HOT[cell_type], text=hyp_text, lines=lines),
                     "detected",
                 )
             )
@@ -531,22 +497,20 @@ def _gold_records(
     direction: str,
     year: int,
     rows_spec: list[_GoldRow],
-    n_cols: int,
     schema: ColumnSchema | None,
 ) -> list[MigrationRecord]:
+    """The records of one table; ``schema`` is given for a five-column table only."""
     records = []
     for spec in rows_spec:
-        if spec.all_empty:
-            continue
-        flags = {"repetition_filled"} if spec.filled_any else set()
+        if spec.types[0] == "empty":
+            continue  # a row with an entry starts with its single-line ref_no cell
+        flags = {"repetition_filled"} if "repetition" in spec.types else set()
         if schema is not None:
-            fields = {
-                label: (spec.resolved[i] or "") for i, label in enumerate(schema.labels[:n_cols])
-            }
-            parish_raw = spec.resolved[3] if n_cols > 3 else None
-            parish_canonical = spec.parish_canonical if parish_raw else None
+            fields = {label: text or "" for label, text in zip(schema.labels, spec.resolved)}
+            parish_raw = spec.resolved[3]
+            parish_canonical = spec.parish_canonical
         else:
-            fields = {f"col_{c}": spec.resolved[c] or "" for c in range(n_cols)}
+            fields = {f"col_{c}": text or "" for c, text in enumerate(spec.resolved)}
             parish_raw = None
             parish_canonical = None
         records.append(
@@ -573,8 +537,8 @@ def _sample_dropout(
     for _ in range(_DROPOUT_RETRIES):
         dropped = []
         for t, grid in enumerate(grids):
-            if grid.n_cols == 2:
-                continue  # a drop would leave a row one cell: no draw could be kept
+            if grid.n_rows == 2 or grid.n_cols == 2:
+                continue  # a drop would leave a column or row one cell: no draw could be kept
             kept_per_row = [grid.n_cols] * grid.n_rows
             kept_per_col = [grid.n_rows] * grid.n_cols
             table_drops = []
@@ -685,7 +649,6 @@ def _generate_opening(
                 direction,
                 page_years[side],
                 rows_spec,
-                n_cols,
                 schema,
             )
         )
@@ -742,8 +705,6 @@ def _generate_opening(
         gold_document=gold_document,
         gold_tables=gold,
         gold_records=tuple(gold_records),
-        gold_keypoints=kp,
-        gold_years=dict(page_years),
         perturbations=log,
     )
 

@@ -120,9 +120,10 @@ def _apply_config(args: argparse.Namespace, path: str, parser: argparse.Argument
 
 def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
     """Keyword arguments of the options that a flag or the config file set,
-    each under its own name or, in ``renamed``, under the keyword mapped to it."""
+    each under its own name or, in ``renamed``, under the keyword mapped to it.
+    An option is unset when it is ``None`` or, with a suppressed default, absent."""
     pairs = [(name, name) for name in names] + list(renamed.items())
-    return {kw: getattr(args, dest) for kw, dest in pairs if getattr(args, dest) is not None}
+    return {kw: getattr(args, dest) for kw, dest in pairs if getattr(args, dest, None) is not None}
 
 
 def _settings(cls, args: argparse.Namespace, origins: dict[str, str]):
@@ -425,7 +426,7 @@ def cmd_synth(
     """Generate a synthetic corpus with ground truth under ``out_dir``.
 
     Book ``b`` has seed ``cfg.seed + b`` and ``generate_book``'s default id.
-    Tables of fewer than five columns have no schema (``col_<i>`` fields).
+    Preprinted tables carry the five-column schema only when ``cfg.cols`` is (5, 5).
     """
     fixtures = []
     for b in range(books):
@@ -513,20 +514,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_chrono_flags(p, corrector=False)  # eval scores the rule-based DP alone
 
-    p = sub.add_parser("synth", help="generate a synthetic fixture corpus")
+    # unset flags stay unset: SynthConfig and cmd_synth hold the defaults, and no config key reaches them
+    p = sub.add_parser("synth", help="generate a synthetic fixture corpus", argument_default=argparse.SUPPRESS)
     p.add_argument("out_dir")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--books", type=int, default=1)
-    p.add_argument("--count", type=int, default=10, help="openings per book")
-    p.add_argument("--rows", type=int, nargs=2, default=(6, 12))
-    p.add_argument("--cols", type=int, nargs=2, default=(5, 5))
-    p.add_argument("--skew", type=float, nargs=2, default=(0.0, 0.0))
-    p.add_argument("--cell-dropout-prob", type=float, default=0.0)
-    p.add_argument("--char-noise-prob", type=float, default=0.0)
-    p.add_argument("--year-corruption-prob", type=float, default=0.0)
-    p.add_argument("--border-jitter", type=float, default=0.0)
-    p.add_argument("--layout", choices=("handdrawn", "preprinted"), default="preprinted")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--books", type=int)
+    p.add_argument("--count", type=int, dest="openings_per_book", help="openings per book")
+    p.add_argument("--rows", type=int, nargs=2)
+    p.add_argument("--cols", type=int, nargs=2)
+    p.add_argument("--skew", type=float, nargs=2, dest="skew_degrees")
+    p.add_argument("--cell-dropout-prob", type=float)
+    p.add_argument("--char-noise-prob", type=float)
+    p.add_argument("--year-corruption-prob", type=float)
+    p.add_argument("--border-jitter", type=float)
+    p.add_argument("--layout", choices=("handdrawn", "preprinted"))
+    p.add_argument("--format", choices=("csv", "jsonl"), dest="records_format")
 
     p = sub.add_parser("years", help="resolve page years for every book in a directory")
     p.add_argument("in_dir")
@@ -586,23 +588,11 @@ def main(argv: list[str] | None = None) -> int:
                 chrono_cfg=_settings(ChronoConfig, args, origins),
             )
         if args.command == "synth":
-            cfg = SynthConfig(
-                seed=args.seed,
-                rows=tuple(args.rows),
-                cols=tuple(args.cols),
-                skew_degrees=tuple(args.skew),
-                cell_dropout_prob=args.cell_dropout_prob,
-                char_noise_prob=args.char_noise_prob,
-                year_corruption_prob=args.year_corruption_prob,
-                border_jitter=args.border_jitter,
-                layout=args.layout,
-            )
+            # the nargs=2 flags parse to lists, and SynthConfig's ranges are tuples
+            args = argparse.Namespace(**{k: tuple(v) if type(v) is list else v for k, v in vars(args).items()})
             return cmd_synth(
-                args.out_dir,
-                cfg,
-                books=args.books,
-                openings_per_book=args.count,
-                records_format=args.format,
+                args.out_dir, _settings(SynthConfig, args, origins),
+                **_given(args, "books", "openings_per_book", "records_format"),
             )
         if args.command == "years":
             return cmd_years(

@@ -54,6 +54,13 @@ DEFAULT_SCHEMA = ColumnSchema(
     avg_lens=(2.0, 5.0, 20.0, 9.0, 3.0),
 )
 
+
+def _preprinted_schema(cfg: SynthConfig) -> ColumnSchema | None:
+    """``DEFAULT_SCHEMA`` if every table of ``cfg`` is preprinted with five columns, else ``None``:
+    one rule per corpus for gold records and ``schemas/``, as README's synth paragraph states."""
+    return DEFAULT_SCHEMA if cfg.layout == "preprinted" and cfg.cols == (5, 5) else None
+
+
 # Visually confusable substitutions used for character noise; year tokens use
 # the digit-only subset so every corruption is either repairable, out of
 # range, or far enough off to violate the sequence constraints.
@@ -96,7 +103,7 @@ class SynthesisError(RuntimeError):
 class SynthConfig:
     """Ranges and probabilities of one synthetic corpus.  Cell dropout keeps
     two cells in every table row and column: a table of two rows or two
-    columns draws none."""
+    columns draws none.  ``layout`` and ``cols`` decide the schema (:func:`_preprinted_schema`)."""
 
     seed: int = 0
     rows: tuple[int, int] = (6, 12)
@@ -195,6 +202,7 @@ class BookFixture:
     book_id: str
     openings: tuple[OpeningFixture, ...]
     page_years: tuple[tuple[str, str, int], ...]  # (opening_id, side, year)
+    config: SynthConfig
 
 
 def _rotate(p: Point, center: Point, theta: float) -> Point:
@@ -499,7 +507,7 @@ def _gold_records(
     rows_spec: list[_GoldRow],
     schema: ColumnSchema | None,
 ) -> list[MigrationRecord]:
-    """The records of one table; ``schema`` is given for a five-column table only."""
+    """The records of one table, under the corpus's ``schema`` (:func:`_preprinted_schema`)."""
     records = []
     for spec in rows_spec:
         if spec.types[0] == "empty":
@@ -630,7 +638,6 @@ def _generate_opening(
         "left": Box(margin_x, 200.0, half - margin_x, 1450.0, 1.0),
         "right": Box(half + margin_x, 200.0, IMAGE_WIDTH - margin_x, 1450.0, 1.0),
     }
-    schema = DEFAULT_SCHEMA if cfg.layout == "preprinted" and n_cols == 5 else None
 
     gold_tables = []
     gold_records: list[MigrationRecord] = []
@@ -649,7 +656,7 @@ def _generate_opening(
                 direction,
                 page_years[side],
                 rows_spec,
-                schema,
+                _preprinted_schema(cfg),
             )
         )
 
@@ -767,7 +774,7 @@ def generate_book(cfg: SynthConfig, n_openings: int, book_id: str | None = None)
         openings.append(fixture)
         page_years_out.append((fixture.document.opening_id, "left", years[left_idx]))
         page_years_out.append((fixture.document.opening_id, "right", years[right_idx]))
-    return BookFixture(book_id=book_id, openings=tuple(openings), page_years=tuple(page_years_out))
+    return BookFixture(book_id, tuple(openings), tuple(page_years_out), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +791,16 @@ def write_corpus(
 
     Returns the paths of the pieces: observed and gold document directories,
     gold records, gold page years, the column schema directory and the
-    sample gazetteer.  The schema directory holds ``preprinted.tsv`` only
-    when every preprinted gold table has the schema's five columns.
+    sample gazetteer.  The schema directory holds ``preprinted.tsv`` unless the
+    books' preprinted tables have no schema (:func:`_preprinted_schema`); books
+    that disagree on it raise ``ValueError``, as no one directory reaches their gold.
     """
+    schemas = {b.book_id: _preprinted_schema(b.config) for b in books if b.config.layout == "preprinted"}
+    if len(set(schemas.values())) > 1:
+        raise ValueError(
+            "books disagree on the schema of their preprinted tables; these have none: "
+            + ", ".join(book_id for book_id, schema in schemas.items() if schema is None)
+        )
     out = Path(out_dir)
     observed_dir = out / "observed"
     gold_dir = out / "gold"
@@ -809,13 +823,7 @@ def write_corpus(
     years_path = out / "gold_years.csv"
     write_csv(years_path, ("opening_id", "side", "year"), page_years)
 
-    if all(
-        gold_table.grid.n_cols == len(DEFAULT_SCHEMA.labels)
-        for book in books
-        for fixture in book.openings
-        if fixture.document.layout_type == "preprinted"
-        for gold_table in fixture.gold_tables
-    ):
+    if None not in schemas.values():
         write_schema_file(DEFAULT_SCHEMA, str(schema_dir / "preprinted.tsv"))
     gazetteer_path = out / "gazetteer.tsv"
     sample_gazetteer().to_file(str(gazetteer_path))

@@ -888,6 +888,44 @@ def test_a_bad_config_file_is_fatal_and_names_its_line(cli_corpus, tmp_path, cap
     assert not records.exists()
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_synth_without_flags_writes_synth_configs_defaults(tmp_path):
+    assert main(["synth", str(tmp_path / "a"), "--count", "2"]) == EXIT_OK
+    assert cmd_synth(str(tmp_path / "b"), SynthConfig(), openings_per_book=2) == EXIT_OK
+    assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+
+
+@pytest.mark.parametrize(
+    "flags, call",
+    [(["--skew", "-2", "1.5"], {"cfg": SynthConfig(skew_degrees=(-2.0, 1.5))}),
+     (["--count", "3"], {"cfg": SynthConfig(), "openings_per_book": 3}),
+     (["--format", "csv"], {"cfg": SynthConfig(), "records_format": "csv"}),
+     (["--rows", "2", "4", "--cols", "3", "5", "--books", "2"],
+      {"cfg": SynthConfig(rows=(2, 4), cols=(3, 5)), "books": 2})],
+    ids=["skew", "count", "format", "ranges"],
+)
+def test_each_synth_flag_reaches_its_field(monkeypatch, flags, call):
+    seen = {}
+    monkeypatch.setattr("migrec.cli.cmd_synth", lambda out_dir, cfg, **kw: seen.update(cfg=cfg, **kw))
+    main(["synth", "out", *flags])
+    assert seen == call  # a range is a tuple: SynthConfig(cols=[3, 5]) != SynthConfig(cols=(3, 5))
+
+
+@pytest.mark.parametrize("key", ["seed", "openings_per_book", "skew_degrees"])
+def test_synth_options_are_flags_only(tmp_path, caplog, key):
+    config = write_config(tmp_path, f"format = csv\n{key} = 3\n")
+    assert main(["--config", config, "synth", str(tmp_path / "c")]) == EXIT_FATAL
+    assert f"{config}:2: unknown config key '{key}'" in caplog.text
+    assert not (tmp_path / "c").exists()
+    # extract's format key sets nothing on synth
+    config = write_config(tmp_path, "format = csv\n")
+    assert main(["--config", config, "synth", str(tmp_path / "c"), "--count", "1"]) == EXIT_OK
+    assert (tmp_path / "c" / "gold_records.jsonl").exists()
+
+
 def test_one_config_file_serves_every_subcommand(cli_corpus, tmp_path):
     config = write_config(
         tmp_path,

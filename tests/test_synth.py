@@ -171,6 +171,18 @@ def test_duplicated_book_fixture_is_flagged():
     assert pairs[0].remove == "book_b"
 
 
+def test_corpus_of_books_that_disagree_on_the_schema_is_refused(tmp_path):
+    five = generate_book(SynthConfig(seed=1), 1, book_id="five")
+    mixed = generate_book(SynthConfig(seed=2, cols=(3, 5)), 1, book_id="mixed")
+    handdrawn = generate_book(SynthConfig(seed=3, layout="handdrawn"), 1, book_id="hand")
+    with pytest.raises(ValueError, match="these have none: mixed$"):
+        write_corpus([five, mixed, handdrawn], tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+    # hand-drawn tables have no say in the preprinted schema
+    write_corpus([five, handdrawn], tmp_path / "ok")
+    assert (tmp_path / "ok" / "schemas" / "preprinted.tsv").exists()
+
+
 def test_gazetteer_fixture_loads():
     gazetteer = sample_gazetteer()
     assert len(gazetteer.entries) == 50
@@ -190,7 +202,7 @@ NOISY = dict(
 # SHA-256 over the relative path and bytes of every file ``write_corpus``
 # writes for two books (seeds ``seed`` and ``seed + 1``) of four openings.
 # The benchmark's corpora are all five-column preprinted tables; these pin
-# the handdrawn, narrow and two-column branches of the generator.
+# the handdrawn, narrow, two-column and mixed-width branches of the generator.
 GENERATOR_PINS = [
     (
         SynthConfig(seed=11, layout="handdrawn", skew_degrees=(-4, 4), char_noise_prob=0.05),
@@ -212,13 +224,17 @@ GENERATOR_PINS = [
         SynthConfig(cols=(2, 2), cell_dropout_prob=0.1),
         "587b81315d7114a733be3c2b1f14a3feea62c9911df64b151b0f9171d5111388",
     ),
+    (
+        SynthConfig(cols=(3, 5)),
+        "a4e6350841a33b81dda91381f61cffd0f0621dda6165045ffd8e82823738b1db",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "cfg, expected",
     GENERATOR_PINS,
-    ids=["handdrawn", "handdrawn-2-4", "three-column", "four-column-noisy", "two-column-dropout"],
+    ids=["handdrawn", "handdrawn-2-4", "three-column", "four-column-noisy", "two-column-dropout", "mixed-width"],
 )
 def test_generated_corpus_is_pinned(cfg, expected, tmp_path):
     write_corpus([generate_book(replace(cfg, seed=cfg.seed + i), 4) for i in range(2)], tmp_path)

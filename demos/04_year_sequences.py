@@ -25,7 +25,7 @@ def page(i, *years):
         opening_id=f"op{i:03d}",
         side="left",
         observations=tuple(
-            YearObservation(f"op{i:03d}", "left", str(y), normalize_year_token(str(y)), BOX)
+            YearObservation(str(y), normalize_year_token(str(y)), BOX)
             for y in years
         ),
     )

@@ -5,8 +5,9 @@ non-decreasing sequence through a book.  Token normalization repairs common
 recognition slips (a '/' standing in for a misread '1', a single damaged
 digit with a unique in-range completion); sequence inference then picks one
 year per page-side that keeps as many observations as possible under the
-monotone-order and bounded-jump constraints, carrying years over pages that
-end up with no surviving observation.
+monotone-order and bounded-jump constraints.  A page with no kept year
+carries the last kept year before it, or the book's first kept year when
+none comes before; a book with no kept year at all has no years.
 
 An external corrector client can be plugged in; its answers are validated
 against the same constraints and rejected answers fall back to the
@@ -19,7 +20,7 @@ import logging
 import os
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from .evaluation import EvalCounts, metrics
@@ -51,8 +52,6 @@ class ChronoConfig:
 
 @dataclass(frozen=True)
 class YearObservation:
-    opening_id: str
-    side: str
     raw: str
     normalized: int | None
     box: Box
@@ -116,18 +115,16 @@ def normalize_year_token(raw: str, cfg: ChronoConfig | None = None) -> int | Non
 
     repair = _SEPARATOR_REPAIRS.get(token[pos])
     if repair is not None:
-        candidate = token[:pos] + repair + token[pos + 1 :]
-        if candidate.isdecimal():
-            year = int(candidate)
-            if cfg.in_range(year):
-                return year
+        year = int(token[:pos] + repair + token[pos + 1 :])
+        if cfg.in_range(year):
+            return year
 
     if pos == 0:
         return None  # the century's first digit cannot be completed uniquely
     completions = []
     for digit in "0123456789":
         candidate = token[:pos] + digit + token[pos + 1 :]
-        if not candidate.isdecimal() or candidate[:2] not in _CENTURY_PREFIXES:
+        if candidate[:2] not in _CENTURY_PREFIXES:
             continue
         year = int(candidate)
         if cfg.in_range(year):
@@ -150,14 +147,10 @@ def infer_sequence(
     years must be non-decreasing with page-to-page increase at most
     ``max_jump``; the optimum minimizes (discarded observations, overridden
     pages, total jump) lexicographically, ties resolved toward smaller
-    years.  Pages without a surviving observation carry the previous
-    resolved year (pages before the first kept year are backfilled from it)
-    with source ``interpolated``.
+    years.  Pages without a surviving observation carry a year by the rule
+    in the module docstring, with source ``interpolated``.
     """
     cfg = cfg or ChronoConfig()
-    if not pages:
-        return BookYearSequence(pages=())
-
     page_years: list[dict[int, int]] = []
     for page in pages:
         counts: dict[int, int] = {}
@@ -203,19 +196,11 @@ def infer_sequence(
     kept_years.reverse()
 
     resolved: list[ResolvedPage] = []
-    current: int | None = None
+    current = next((y for y in kept_years if y is not None), None)
     for page, kept in zip(pages, kept_years):
-        if kept is not None:
-            current = kept
-            resolved.append(ResolvedPage(page.opening_id, page.side, kept, "observed"))
-        else:
-            resolved.append(ResolvedPage(page.opening_id, page.side, current, "interpolated"))
-    first_year = next((p.year for p in resolved if p.year is not None), None)
-    if first_year is not None:
-        for i, page in enumerate(resolved):
-            if page.year is not None:
-                break
-            resolved[i] = replace(page, year=first_year)
+        current = current if kept is None else kept
+        source = "interpolated" if kept is None else "observed"
+        resolved.append(ResolvedPage(page.opening_id, page.side, current, source))
 
     sequence = BookYearSequence(pages=tuple(resolved))
     if problem := _order_problem([y for y in sequence.years() if y is not None], cfg):

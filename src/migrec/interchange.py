@@ -235,22 +235,23 @@ class DetectionDocument:
     tables: tuple[TableDetection, ...] = ()
     year_detections: tuple[YearDetection, ...] = ()
 
-    def center_line_x(self, y: float | None = None) -> float:
-        """X coordinate of the line dividing the two pages.
+    def center_line_x(self, y: float) -> float:
+        """X coordinate at height ``y`` of the line dividing the two pages.
 
         With keypoints present the spine is the B-E segment, interpolated at
-        ``y`` when given; otherwise the image midline is used.
+        ``y`` (its midpoint when the segment is flat); otherwise the image
+        midline is used.
         """
         if self.keypoints is None:
             return self.image_width / 2.0
         b, e = self.keypoints.b, self.keypoints.e
-        if y is None or abs(e.y - b.y) < 1e-9:
+        if abs(e.y - b.y) < 1e-9:
             return (b.x + e.x) / 2.0
         t = (y - b.y) / (e.y - b.y)
         return b.x + t * (e.x - b.x)
 
-    def page_side(self, x: float, y: float | None = None) -> str:
-        """Assign an x coordinate to the left or right page of the opening."""
+    def page_side(self, x: float, y: float) -> str:
+        """Assign a point to the left or right page of the opening."""
         return "left" if x < self.center_line_x(y) else "right"
 
 

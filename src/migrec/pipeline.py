@@ -121,13 +121,7 @@ def collect_years(doc: DetectionDocument, chrono: ChronoConfig) -> dict[str, Pag
         center = det.box.center
         side = doc.page_side(center.x, center.y)
         found[side].append(
-            YearObservation(
-                opening_id=doc.opening_id,
-                side=side,
-                raw=det.text.text,
-                normalized=normalize_year_token(det.text.text, chrono),
-                box=det.box,
-            )
+            YearObservation(det.text.text, normalize_year_token(det.text.text, chrono), det.box)
         )
     return {
         side: PageObservations(opening_id=doc.opening_id, side=side, observations=tuple(obs))
@@ -351,18 +345,16 @@ def eval_reports(
     options = PipelineOptions(chrono=chrono_cfg)
     for pages in books_pages.values():
         resolved = book_years(pages, options).pages
-        for i, page in enumerate(resolved):
+        # a page may legitimately state the following year too (mid-page
+        # change): keep its observed years up to the next page's year.  In a
+        # book every page has a year or none has, and years never fall.
+        for page, after in zip(resolved, resolved[1:] + resolved[-1:]):
             key = (page.opening_id, page.side)
             if page.year is None:
                 years_pred_rule[key] = set()
-                continue
-            # a page may legitimately state the following year too (mid-page
-            # change); keep observations consistent with the resolved sequence
-            upper = page.year
-            if i + 1 < len(resolved) and resolved[i + 1].year is not None:
-                upper = max(upper, resolved[i + 1].year)
-            kept = {y for y in years_pred_raw[key] if page.year <= y <= upper}
-            years_pred_rule[key] = {page.year} | kept
+            else:
+                kept = {y for y in years_pred_raw[key] if page.year <= y <= after.year}
+                years_pred_rule[key] = {page.year} | kept
 
     r = ev.round_half_up
     detection = []
@@ -396,9 +388,9 @@ def eval_reports(
              r(report.weighted_f1), total),
         ]
 
-    text = [  # '?' references excluded, numeric/textual split
+    text = [  # '?' references excluded, numeric/textual split, classes with no lines left out
         (t.label, r(t.exact_match), round(t.cer, 4), r(t.avg_ref_length), t.support)
-        for t in ev.split_metrics(ev.filter_unreadable(text_pairs))
+        for t in ev.split_metrics(ev.filter_unreadable(text_pairs)) if t.support
     ]
     years = []
     for method, pred in (("raw", years_pred_raw), ("rule_corrected", years_pred_rule)):

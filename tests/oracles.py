@@ -17,7 +17,10 @@ placement as it was when it scored every candidate slot through a slot
 ``assemble_records_reference`` and ``realign_columns_reference`` keep
 record assembly as it was when it built per-cell type, text and fill
 matrices and wrote a row's column mapping once per outcome: the records
-and alignments must stay the same.
+and alignments must stay the same.  ``normalize_year_token_reference`` and
+``infer_sequence_reference`` keep the year step as it was when token repair
+tested its candidates for digits and the DP backfilled a book's leading
+pages in a second pass: every token and every book must resolve the same.
 """
 
 from __future__ import annotations
@@ -41,7 +44,14 @@ from migrec.cells import (
     fill_repetitions,
     is_date_text,
 )
-from migrec.chrono import ChronoConfig, PageObservations, evaluate_years, infer_sequence
+from migrec.chrono import (
+    BookYearSequence,
+    ChronoConfig,
+    PageObservations,
+    ResolvedPage,
+    evaluate_years,
+    infer_sequence,
+)
 from migrec.cli import EXIT_FATAL, EXIT_OK, _document_paths
 from migrec.geometry import PointAtInfinityError, angle_stats, apply_point, edge_angle_from_vertical
 from migrec.gridrec import (
@@ -1204,3 +1214,156 @@ def assemble_records_reference(
             )
         )
     return records
+
+
+# --- the year step as it was before its carry rule was stated once -----------
+
+_SEPARATOR_REPAIRS_REFERENCE = {"/": "1"}
+_CENTURY_PREFIXES_REFERENCE = ("17", "18", "19")
+
+
+def normalize_year_token_reference(raw: str, cfg: ChronoConfig | None = None) -> int | None:
+    """Parse a noisy year token into an in-range integer year, if possible.
+
+    Rules, in order: an exact in-range 4-digit year is accepted; a 4-char
+    token whose single non-digit is a known separator slip ('/' for '1') is
+    repaired; a 4-char token with one damaged character in positions 2-4 is
+    completed when exactly one in-range completion with century prefix
+    17/18/19 exists.  Everything else yields None.
+    """
+    cfg = cfg or ChronoConfig()
+    token = raw.strip()
+    # Trim surrounding punctuation, keeping the 4-char core intact.
+    while token and not (token[0].isdecimal() or token[0] in _SEPARATOR_REPAIRS_REFERENCE):
+        token = token[1:]
+    while token and not (token[-1].isdecimal() or token[-1] in _SEPARATOR_REPAIRS_REFERENCE):
+        token = token[:-1]
+    if len(token) != 4:
+        return None
+
+    if token.isdecimal():
+        year = int(token)
+        return year if cfg.in_range(year) else None
+
+    bad = [i for i, ch in enumerate(token) if not ch.isdecimal()]
+    if len(bad) != 1:
+        return None
+    pos = bad[0]
+
+    repair = _SEPARATOR_REPAIRS_REFERENCE.get(token[pos])
+    if repair is not None:
+        candidate = token[:pos] + repair + token[pos + 1 :]
+        if candidate.isdecimal():
+            year = int(candidate)
+            if cfg.in_range(year):
+                return year
+
+    if pos == 0:
+        return None  # the century's first digit cannot be completed uniquely
+    completions = []
+    for digit in "0123456789":
+        candidate = token[:pos] + digit + token[pos + 1 :]
+        if not candidate.isdecimal() or candidate[:2] not in _CENTURY_PREFIXES_REFERENCE:
+            continue
+        year = int(candidate)
+        if cfg.in_range(year):
+            completions.append(year)
+    if len(completions) == 1:
+        return completions[0]
+    return None
+
+
+_CostReference = tuple[int, int, int]  # (discarded observations, overridden pages, total jump)
+
+
+def infer_sequence_reference(
+    pages: Sequence[PageObservations], cfg: ChronoConfig | None = None
+) -> BookYearSequence:
+    """Resolve one year per page-side over a whole book.
+
+    Exact dynamic programming over candidate year values: each page either
+    keeps one of its observed years or discards all its observations.  Kept
+    years must be non-decreasing with page-to-page increase at most
+    ``max_jump``; the optimum minimizes (discarded observations, overridden
+    pages, total jump) lexicographically, ties resolved toward smaller
+    years.  Pages without a surviving observation carry the previous
+    resolved year (pages before the first kept year are backfilled from it)
+    with source ``interpolated``.
+    """
+    cfg = cfg or ChronoConfig()
+    if not pages:
+        return BookYearSequence(pages=())
+
+    page_years: list[dict[int, int]] = []
+    for page in pages:
+        counts: dict[int, int] = {}
+        for year in page.years():
+            if cfg.in_range(year):
+                counts[year] = counts.get(year, 0) + 1
+        page_years.append(counts)
+
+    # DP state: last kept year (None before any). Value: best cost tuple.
+    states: dict[int | None, _CostReference] = {None: (0, 0, 0)}
+    choices: list[dict[int | None, tuple[int | None, int | None]]] = []
+    for counts in page_years:
+        total_obs = sum(counts.values())
+        new_states: dict[int | None, _CostReference] = {}
+        new_choice: dict[int | None, tuple[int | None, int | None]] = {}
+
+        def offer(state: int | None, cost: _CostReference, prev: int | None, kept: int | None) -> None:
+            incumbent = new_states.get(state)
+            if incumbent is None or cost < incumbent:
+                new_states[state] = cost
+                new_choice[state] = (prev, kept)
+
+        for prev in sorted(states, key=lambda y: (y is not None, y)):
+            disc, over, jump = states[prev]
+            skip_cost = (disc + total_obs, over + (1 if total_obs else 0), jump)
+            offer(prev, skip_cost, prev, None)
+            for year in sorted(counts):
+                if prev is not None and (year < prev or year - prev > cfg.max_jump):
+                    continue
+                step = 0 if prev is None else year - prev
+                keep_cost = (disc + total_obs - counts[year], over, jump + step)
+                offer(year, keep_cost, prev, year)
+        states = new_states
+        choices.append(new_choice)
+
+    final = min(states, key=lambda y: (states[y], y is not None, y))
+    kept_years: list[int | None] = []
+    state = final
+    for choice in reversed(choices):
+        prev, kept = choice[state]
+        kept_years.append(kept)
+        state = prev
+    kept_years.reverse()
+
+    resolved: list[ResolvedPage] = []
+    current: int | None = None
+    for page, kept in zip(pages, kept_years):
+        if kept is not None:
+            current = kept
+            resolved.append(ResolvedPage(page.opening_id, page.side, kept, "observed"))
+        else:
+            resolved.append(ResolvedPage(page.opening_id, page.side, current, "interpolated"))
+    first_year = next((p.year for p in resolved if p.year is not None), None)
+    if first_year is not None:
+        for i, page in enumerate(resolved):
+            if page.year is not None:
+                break
+            resolved[i] = replace(page, year=first_year)
+
+    sequence = BookYearSequence(pages=tuple(resolved))
+    if problem := _order_problem_reference([y for y in sequence.years() if y is not None], cfg):
+        raise RuntimeError(f"resolved years violate the sequence constraints: {problem}")
+    return sequence
+
+
+def _order_problem_reference(years: Sequence[int], cfg: ChronoConfig) -> str | None:
+    """What breaks a book's year order: a fall, or a jump over ``max_jump``."""
+    for a, b in zip(years, years[1:]):
+        if b < a:
+            return f"non-monotone sequence at {a} -> {b}"
+        if b - a > cfg.max_jump:
+            return f"jump {b - a} exceeds max_jump {cfg.max_jump}"
+    return None

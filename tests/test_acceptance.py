@@ -363,13 +363,7 @@ def _book_pages(book):
                 if doc.page_side(det.box.center.x, det.box.center.y) != side:
                     continue
                 observations.append(
-                    YearObservation(
-                        opening_id=doc.opening_id,
-                        side=side,
-                        raw=det.text.text,
-                        normalized=normalize_year_token(det.text.text),
-                        box=det.box,
-                    )
+                    YearObservation(det.text.text, normalize_year_token(det.text.text), det.box)
                 )
             pages.append(
                 PageObservations(opening_id=doc.opening_id, side=side, observations=tuple(observations))

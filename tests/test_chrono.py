@@ -24,9 +24,7 @@ def page(opening, side, *years, raws=None):
     observations = []
     for i, year in enumerate(years):
         raw = raws[i] if raws else str(year)
-        observations.append(
-            YearObservation(opening_id=opening, side=side, raw=raw, normalized=year, box=BOX)
-        )
+        observations.append(YearObservation(raw=raw, normalized=year, box=BOX))
     return PageObservations(opening_id=opening, side=side, observations=tuple(observations))
 
 

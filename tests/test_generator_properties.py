@@ -11,8 +11,8 @@ every command in-process.
 4. Records read back equal from JSON lines, and from CSV under README's
    rule: a field a record never had reads back as ``''``.
 5. ``eval`` of the gold documents against themselves scores 100 on every
-   classification, detection and text figure, with CER 0; a row with no
-   support scores nothing.
+   classification, detection and text figure, with CER 0, and writes no
+   row with support 0.
 
 Years are left out of 3 and 5: the year DP resolves a book's first page that
 also mentions the next year to the later year, on gold documents too.
@@ -126,8 +126,7 @@ def check_properties(cfg: SynthConfig, work: Path) -> None:
             continue
         with open(report, encoding="utf-8", newline="") as handle:
             for row in csv.DictReader(handle):
-                if row.get("support") == "0":
-                    continue
+                assert row.get("support") != "0", (report.name, row)
                 for column, value in row.items():
                     if column in ("accuracy", "precision", "recall", "f1", "exact_match") and value:
                         assert value == "100.0", (report.name, row)

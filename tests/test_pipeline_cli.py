@@ -302,6 +302,18 @@ def test_eval_gold_against_itself_is_perfect(corpus, tmp_path):
     assert any(row.startswith("deskewed,") for row in skew[1:])
 
 
+def test_eval_leaves_out_a_text_class_with_no_lines(tmp_path):
+    # two-column hand-drawn tables hold numbers only, so no line is textual
+    corpus = tmp_path / "c"
+    assert main(["synth", str(corpus), "--seed", "0", "--rows", "2", "2", "--cols", "2", "2",
+                 "--layout", "handdrawn", "--count", "2"]) == EXIT_OK
+    assert cmd_eval(str(corpus / "gold"), str(corpus / "gold"), str(tmp_path / "eval")) == EXIT_OK
+    rows = read_csv_rows(tmp_path / "eval" / "text_metrics.csv")
+    assert [(row["class"], row["exact_match"], row["cer"], row["support"]) for row in rows] == [
+        ("numeric", "100.0", "0.0", "16"), ("all", "100.0", "0.0", "16")
+    ]
+
+
 def test_eval_observed_against_gold_reports_skew(tmp_path):
     skew_dir = tmp_path / "skewed"
     books = [generate_book(SynthConfig(seed=21, skew_degrees=(1.0, 3.0)), 4)]
@@ -1196,7 +1208,7 @@ def test_eval_reports_of_no_openings():
     assert reports["detection_metrics.csv"][1] == []
     assert reports["cell_classification.csv"][1] == []
     assert reports["skew_angles.csv"][1] == []
-    assert [row[0] for row in reports["text_metrics.csv"][1]] == ["textual", "numeric", "all"]
+    assert reports["text_metrics.csv"][1] == []
     assert reports["year_metrics.csv"][1] == [
         ("raw", 0.0, 0.0, 0.0, 0), ("rule_corrected", 0.0, 0.0, 0.0, 0)
     ]

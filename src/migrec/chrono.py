@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import os
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
@@ -279,32 +278,26 @@ def external_correct(
     return BookYearSequence(pages=tuple(resolved))  # _validate_corrected checked the order
 
 
+@dataclass(frozen=True)
 class HttpCorrectorClient:
     """Plain-text HTTP corrector: one page per request line, one year per reply line.
 
-    The endpoint comes from configuration; the credential, if any, from an
-    environment variable sent as a bearer token.
+    The endpoint comes from configuration; the credential, if any, from the
+    ``MIGREC_CORRECTOR_KEY`` environment variable, sent as a bearer token.
+    A request fails after 30 seconds without an answer.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        timeout: float = 30.0,
-        api_key_env: str = "MIGREC_CORRECTOR_KEY",
-    ) -> None:
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.api_key_env = api_key_env
+    endpoint: str
 
     def correct_years(self, pages_raw: Sequence[Sequence[str]]) -> list[int]:
         payload = "\n".join(";".join(tokens) for tokens in pages_raw).encode("utf-8")
         request = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "text/plain; charset=utf-8"}
         )
-        key = os.environ.get(self.api_key_env)
+        key = os.environ.get("MIGREC_CORRECTOR_KEY")
         if key:
             request.add_header("Authorization", f"Bearer {key}")
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
+        with urllib.request.urlopen(request, timeout=30.0) as response:
             body = response.read().decode("utf-8")
         return [int(line.strip()) for line in body.splitlines() if line.strip()]
 
@@ -321,8 +314,8 @@ class YearEvalResult:
 
 
 def evaluate_years(
-    pred: Mapping[tuple[str, str], set[int]],
-    gold: Mapping[tuple[str, str], set[int]],
+    pred: Mapping[tuple[str, ...], set[int]],
+    gold: Mapping[tuple[str, ...], set[int]],
 ) -> YearEvalResult:
     """Micro-averaged P/R/F1 of per-page unique year sets.
 

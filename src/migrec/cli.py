@@ -38,6 +38,7 @@ from .normalize import detect_duplicate_books, filter_usable
 from .pipeline import (
     DIRECTION_MODES,
     EVAL_REPORTS,
+    UNREADABLE,
     PipelineOptions,
     book_years,
     collect_years,
@@ -190,7 +191,8 @@ def cmd_extract(
     Output is deterministic for any worker count: books are processed
     share-nothing and merged in sorted order.  Per-opening failures are
     isolated and tallied; the run continues.  Without ``records_format``
-    the format follows ``out_path``'s suffix, as ``normalize`` reads it.
+    the format is the one ``out_path`` names, as for every records path.
+    The summary's ``books`` counts the books of readable headers only.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -214,9 +216,9 @@ def cmd_extract(
         summary.update(result.summary)
         failures.extend(result.failures)
 
-    write_records(records, out_path, format=records_format or _records_format(out_path))
+    write_records(records, out_path, format=records_format)
     summary_obj = {
-        "books": len(results),
+        "books": sum(book != UNREADABLE for book in groups),
         "openings_total": len(paths),
         "records": len(records),
         "counts": dict(sorted(summary.items())),
@@ -311,19 +313,14 @@ def cmd_years(
     if not paths:
         log.error("no document files under %s", in_dir)
         return EXIT_FATAL
-    options = PipelineOptions(chrono=chrono_cfg, corrector=corrector)
     rows, skipped = [], []
     for book_id, files in group_documents_by_book(paths).items():
         pages, failures = read_book(files, lambda doc: collect_years(doc, chrono_cfg))
         skipped += failures
-        sequence = book_years(pages.values(), options)
+        sequence = book_years(pages.values(), chrono_cfg, corrector)
         rows += [(book_id, p.opening_id, p.side, p.year, p.source) for p in sequence.pages]
     write_csv(out_path, ("book_id", "opening_id", "side", "year", "source"), rows)
     return EXIT_PARTIAL if skipped else EXIT_OK
-
-
-def _records_format(path: str) -> str:
-    return "jsonl" if path.endswith(".jsonl") else "csv"
 
 
 def cmd_normalize(
@@ -338,7 +335,7 @@ def cmd_normalize(
 ) -> int:
     """Normalize parish names, drop duplicated books, filter usable records."""
     gazetteer = Gazetteer.from_file(gazetteer_path)
-    records = read_records(records_path, format=_records_format(records_path))
+    records = read_records(records_path)
 
     normalized, method_tally = match_parishes(records, gazetteer, max_rel_dist)
 
@@ -353,7 +350,7 @@ def cmd_normalize(
     if usable_only:
         kept, tally = filter_usable(kept)
 
-    write_records(kept, out_path, format=_records_format(out_path))
+    write_records(kept, out_path)
     report = {
         "input_records": len(records),
         "output_records": len(kept),
@@ -376,7 +373,7 @@ def cmd_aggregate(
     parish: str | None = None,
 ) -> int:
     """Histogram-ready per-year and per-parish in/out counts from records."""
-    records = read_records(records_path, format=_records_format(records_path))
+    records = read_records(records_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -437,9 +434,8 @@ def cmd_synth(
     return EXIT_OK
 
 
-def cmd_report(eval_dir: str, stream=None) -> int:
-    """Render the eval CSV reports as aligned text tables."""
-    stream = stream or sys.stdout
+def cmd_report(eval_dir: str) -> int:
+    """Render the eval CSV reports as aligned text tables on standard output."""
     directory = Path(eval_dir)
     found = False
     for name in EVAL_REPORTS:
@@ -453,13 +449,10 @@ def cmd_report(eval_dir: str, stream=None) -> int:
             continue
         found = True
         widths = [max(len(row[i]) if i < len(row) else 0 for row in rows) for i in range(max(map(len, rows)))]
-        print(f"== {name}", file=stream)
+        print(f"== {name}")
         for row in rows:
-            print(
-                "  ".join((row[i] if i < len(row) else "").ljust(widths[i]) for i in range(len(widths))),
-                file=stream,
-            )
-        print("", file=stream)
+            print("  ".join((row[i] if i < len(row) else "").ljust(widths[i]) for i in range(len(widths))))
+        print()
     if not found:
         log.error("no report CSVs found under %s", eval_dir)
         return EXIT_FATAL

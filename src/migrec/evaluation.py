@@ -352,7 +352,6 @@ def class_report(rows: Sequence[ClassRow]) -> ClassReport:
     )
 
 
-def round_half_up(value: float, ndigits: int = 1) -> float:
-    """Decimal half-up rounding, applied only when rendering reports."""
-    quantum = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def round_half_up(value: float) -> float:
+    """Decimal half-up rounding to one decimal, applied only when rendering reports."""
+    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))

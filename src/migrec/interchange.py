@@ -826,8 +826,18 @@ def write_json(path, obj) -> None:
         handle.write("\n")
 
 
-def write_records(records: Sequence[MigrationRecord], path: str, format: str = "csv") -> None:
-    """Write records as CSV (RFC 4180 quoting) or JSON lines."""
+def _records_format(path: str, format: str | None) -> str:
+    """``format``, or the one ``path`` names: JSON lines for ``.jsonl``, CSV for any other."""
+    if format is None:
+        return "jsonl" if str(path).endswith(".jsonl") else "csv"
+    if format not in ("csv", "jsonl"):
+        raise ValueError(f"unknown record format {format!r}")
+    return format
+
+
+def write_records(records: Sequence[MigrationRecord], path: str, format: str | None = None) -> None:
+    """Write records as CSV (RFC 4180 quoting) or JSON lines; by default, the one the path names."""
+    format = _records_format(path, format)
     for i, record in enumerate(records):
         validate_record(record, f"records[{i}]")
     if format == "csv":
@@ -840,18 +850,16 @@ def write_records(records: Sequence[MigrationRecord], path: str, format: str = "
                 for r in records
             ),
         )
-    elif format == "jsonl":
+    else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             for record in records:
                 obj = dict(zip(_RECORD_KEYS, _record_values(record)))
                 obj["flags"] = sorted(record.flags)
                 handle.write(_dump(obj) + "\n")
-    else:
-        raise ValueError(f"unknown record format {format!r}")
 
 
-def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
-    """Parse a record file written by :func:`write_records`.
+def read_records(path: str, format: str | None = None) -> list[MigrationRecord]:
+    """Parse a record file written by :func:`write_records`, by default in the format the path names.
 
     Each format only turns a line into a key -> value object; one check
     then builds and validates the record, so both formats raise the same
@@ -863,8 +871,7 @@ def read_records(path: str, format: str = "csv") -> list[MigrationRecord]:
     file that is not UTF-8 raises :class:`ParseError` naming the line of its
     first bad byte.
     """
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown record format {format!r}")
+    format = _records_format(path, format)
     objects = _csv_objects if format == "csv" else _jsonl_objects
     records = []
     try:

@@ -7,26 +7,32 @@ relaxed-eps retry), repetition fill and record assembly;
 years are resolved once per book and parish names matched against the
 gazetteer at the end.
 
-The steps the commands share live here, once each:
+The steps the commands share live here, once each, and each takes only the
+settings it reads:
 
 - :func:`read_book` reads a book's documents in path order, applies one
   step to each (``extract``: :func:`process_opening`, ``years``:
   :func:`collect_years`), and logs, lists and skips a file that fails;
 - :func:`process_opening` de-skews an opening's tables, builds one grid
-  per table and collects its year pages (``extract`` through
-  :func:`process_book`, and ``eval`` through :func:`score_opening`); a
-  failed grid costs only its own table.  It counts nothing; ``extract``
-  counts the grids, tables and failures it returns;
+  per table under the grid settings and collects its year pages under the
+  year range (``extract`` through :func:`process_book`, and ``eval``
+  through :func:`score_opening`); a failed grid costs only its own table.
+  It counts nothing; ``extract`` counts the grids, tables and failures it
+  returns;
 - :func:`collect_years` turns an opening's year detections into page
-  observations (:func:`process_opening`, and ``years``);
+  observations under the year range (:func:`process_opening`, and ``years``);
 - :func:`book_years` orders a book's pages by (opening, side) and runs the
-  external corrector or the rule-based DP over them (``extract``,
-  ``years``, and ``eval`` through :func:`eval_reports`);
+  external corrector, when one is given, or the rule-based DP under the
+  year settings over them (``extract``, ``years``, and ``eval`` through
+  :func:`eval_reports`, which gives no corrector);
 - :func:`match_parishes` matches raw parish names against a gazetteer with
   a per-call memo (``extract`` through :func:`process_book`, and
   ``normalize``);
 - :func:`score_opening` scores one opening against its gold document and
   :func:`eval_reports` merges the scores into the report rows (``eval``).
+
+:class:`PipelineOptions` holds ``extract``'s settings alone;
+:func:`process_book` passes each step the ones it reads.
 """
 
 from __future__ import annotations
@@ -129,20 +135,19 @@ def collect_years(doc: DetectionDocument, chrono: ChronoConfig) -> dict[str, Pag
     }
 
 
-def book_years(
-    pages_by_opening: Iterable[Mapping[str, PageObservations]], options: PipelineOptions
-) -> BookYearSequence:
+def book_years(pages_by_opening: Iterable[Mapping[str, PageObservations]], chrono: ChronoConfig,
+               corrector: CorrectorClient | None = None) -> BookYearSequence:
     """A book's page years, from one ``side -> page`` map per opening.
 
     The pages are ordered by (opening, side).  The external corrector
-    answers when one is set (it falls back to the rule-based DP itself);
+    answers when one is given (it falls back to the rule-based DP itself);
     otherwise the DP runs alone.
     """
     pages = sorted((p for by_side in pages_by_opening for p in by_side.values()),
                    key=lambda p: (p.opening_id, p.side))
-    if options.corrector is not None:
-        return external_correct(pages, options.corrector, options.chrono)
-    return infer_sequence(pages, options.chrono)
+    if corrector is not None:
+        return external_correct(pages, corrector, chrono)
+    return infer_sequence(pages, chrono)
 
 
 def read_book(
@@ -205,7 +210,7 @@ class OpeningResult:
     failures: list[str]  # "table <i>: grid reconstruction failed: <error>"
 
 
-def process_opening(doc: DetectionDocument, options: PipelineOptions) -> OpeningResult:
+def process_opening(doc: DetectionDocument, grid: GridConfig, chrono: ChronoConfig) -> OpeningResult:
     """De-skew one opening's coordinates and reconstruct one grid per table.
 
     Grids come in de-skewed reading order: by the table box's top edge, then
@@ -220,13 +225,13 @@ def process_opening(doc: DetectionDocument, options: PipelineOptions) -> Opening
         if not table.cells:
             continue
         try:
-            grids.append((side, complete_grid_with_retry(table.box, table.cells, options.grid)))
+            grids.append((side, complete_grid_with_retry(table.box, table.cells, grid)))
         except Exception as exc:
             failures.append(f"table {i}: grid reconstruction failed: {exc}")
             log.warning("opening %s: %s", doc.opening_id, failures[-1])
     grids.sort(key=lambda g: (g[1].table_box.y_min, g[1].table_box.x_min))
     return OpeningResult(doc.opening_id, tables, transforms, grids,
-                         collect_years(doc, options.chrono), doc.layout_type, failures)
+                         collect_years(doc, chrono), doc.layout_type, failures)
 
 
 EVAL_REPORTS = {  # eval report file name -> header
@@ -279,8 +284,7 @@ def score_opening(
     columns are matched box to box; matched cells give the class confusion
     and, where the gold cell has text, a text pair.
     """
-    options = PipelineOptions(grid=grid_cfg, chrono=chrono_cfg)
-    pred, gold = process_opening(pred_doc, options), process_opening(gold_doc, options)
+    pred, gold = (process_opening(doc, grid_cfg, chrono_cfg) for doc in (pred_doc, gold_doc))
     kinds = zip(("tables", "rows", "columns"), _detection_boxes(pred), _detection_boxes(gold))
     detections = {kind: ev.match_detections(p, g)[0] for kind, p, g in kinds}
 
@@ -317,16 +321,17 @@ def eval_reports(
 ) -> dict[str, tuple[tuple[str, ...], list[tuple]]]:
     """Merge opening scores into the eval reports: file name -> (header, rows).
 
-    The rule-corrected years come from one year DP per book.  Give the
-    scores in file-name order: skew angles are summed as floats in the
-    order the scores come.
+    The rule-corrected years come from one year DP per book, and every
+    year set is keyed by (book, opening, side), so books that repeat an
+    opening id keep their own pages.  Give the scores in file-name order:
+    skew angles are summed as floats in the order the scores come.
     """
     det_counts: dict[tuple[str, str], ev.EvalCounts] = {}
     confusion: Counter = Counter()
     text_pairs: list[tuple[str, str]] = []
-    years_pred_raw: dict[tuple[str, str], set[int]] = {}
-    years_pred_rule: dict[tuple[str, str], set[int]] = {}
-    years_gold: dict[tuple[str, str], set[int]] = {}
+    years_pred_raw: dict[tuple[str, str, str], set[int]] = {}  # (book, opening, side) -> years
+    years_pred_rule: dict[tuple[str, str, str], set[int]] = {}
+    years_gold: dict[tuple[str, str, str], set[int]] = {}
     books_pages: dict[str, list[dict[str, PageObservations]]] = {}
     angles: dict[tuple[str, str], list[float]] = {}  # (stage, edge) -> degrees
     for score in scores:
@@ -337,19 +342,19 @@ def eval_reports(
         text_pairs.extend(score.text_pairs)
         for by_side, target in ((score.pred_pages, years_pred_raw), (score.gold_pages, years_gold)):
             for page in by_side.values():
-                target.setdefault((page.opening_id, page.side), set()).update(page.years())
+                key = (score.book_id, page.opening_id, page.side)
+                target.setdefault(key, set()).update(page.years())
         books_pages.setdefault(score.book_id, []).append(score.pred_pages)
         for stage, edge, degrees in score.angles:
             angles.setdefault((stage, edge), []).append(degrees)
 
-    options = PipelineOptions(chrono=chrono_cfg)
-    for pages in books_pages.values():
-        resolved = book_years(pages, options).pages
+    for book_id, pages in books_pages.items():
+        resolved = book_years(pages, chrono_cfg).pages
         # a page may legitimately state the following year too (mid-page
         # change): keep its observed years up to the next page's year.  In a
         # book every page has a year or none has, and years never fall.
         for page, after in zip(resolved, resolved[1:] + resolved[-1:]):
-            key = (page.opening_id, page.side)
+            key = (book_id, page.opening_id, page.side)
             if page.year is None:
                 years_pred_rule[key] = set()
             else:
@@ -422,9 +427,11 @@ def process_book(
 
     The summary counts only what happened: it holds no zero value.
     """
-    done, read_failures = read_book(paths, lambda doc: process_opening(doc, options))
+    done, read_failures = read_book(
+        paths, lambda doc: process_opening(doc, options.grid, options.chrono))
     openings = sorted(done.values(), key=lambda o: o.opening_id)
-    sequence = book_years((opening.pages for opening in openings), options)
+    sequence = book_years((opening.pages for opening in openings), options.chrono,
+                          options.corrector)
     resolved = {(p.opening_id, p.side): p for p in sequence.pages}
 
     mode = options.direction_mode(book_id)
@@ -465,12 +472,15 @@ def process_book(
     return BookResult(book_id=book_id, records=records, summary=+summary, failures=failures)
 
 
+UNREADABLE = ""  # the group of files whose header cannot be read; no book id is empty
+
+
 def group_documents_by_book(paths: Sequence[str]) -> dict[str, list[str]]:
     """Group document file paths by the book id of their header.
 
     The header is a file's first non-blank line, read by the parser that
     :func:`read_document` uses.  A file whose header cannot be read goes
-    under ``<unreadable>``; reading the document later reports what is wrong.
+    under :data:`UNREADABLE`; reading the document later reports what is wrong.
     """
     groups: dict[str, list[str]] = {}
     for path in paths:
@@ -479,6 +489,6 @@ def group_documents_by_book(paths: Sequence[str]) -> dict[str, list[str]]:
                 lineno, raw = next(((n, l) for n, l in enumerate(handle, 1) if l.strip()), (1, ""))
             book_id = parse_header(decode_json_line(raw, lineno)).book_id
         except (OSError, ValueError):
-            book_id = "<unreadable>"
+            book_id = UNREADABLE
         groups.setdefault(book_id, []).append(str(path))
     return {book: sorted(files) for book, files in sorted(groups.items())}

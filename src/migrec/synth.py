@@ -716,18 +716,13 @@ def _generate_opening(
     )
 
 
-def generate_opening(cfg: SynthConfig, book_id: str = "book0000", opening_index: int = 0) -> OpeningFixture:
-    """Generate one standalone opening (both page-sides share one year)."""
-    rng = random.Random(cfg.seed * 1_000_003 + opening_index)
+def generate_opening(cfg: SynthConfig) -> OpeningFixture:
+    """Generate one standalone opening of book ``book0000`` (both page-sides share one year)."""
+    rng = random.Random(cfg.seed * 1_000_003)
     year = rng.randint(1790, 1905)
-    return _generate_opening(
-        cfg,
-        rng,
-        book_id,
-        opening_index,
-        year_mentions={"left": [year], "right": [year]},
-        page_years={"left": year, "right": year},
-    )
+    return _generate_opening(cfg, rng, "book0000", 0,
+                             year_mentions={"left": [year], "right": [year]},
+                             page_years={"left": year, "right": year})
 
 
 def generate_book(cfg: SynthConfig, n_openings: int, book_id: str | None = None) -> BookFixture:

@@ -278,11 +278,11 @@ def test_http_client_payload_and_parse(monkeypatch):
 
     monkeypatch.setenv("MIGREC_CORRECTOR_KEY", "secret")
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-    client = HttpCorrectorClient("http://corrector.local/years", timeout=5.0)
+    client = HttpCorrectorClient("http://corrector.local/years")
     years = client.correct_years([["1877", "18?7"], ["1878"]])
     assert years == [1877, 1878]
     assert captured["body"] == "1877;18?7\n1878"
-    assert captured["timeout"] == 5.0
+    assert captured["timeout"] == 30.0
 
 
 # --- evaluate_years ---------------------------------------------------------------

@@ -392,4 +392,4 @@ def test_round_half_up():
     assert round_half_up(96.05) == 96.1
     assert round_half_up(96.04999) == 96.0
     assert round_half_up(87.15) == 87.2
-    assert round_half_up(-1.25, 1) == -1.3
+    assert round_half_up(-1.25) == -1.3

@@ -343,6 +343,32 @@ def test_jsonl_round_trip_with_heterogeneous_fields(tmp_path):
     assert read_records(str(path), format="jsonl") == records
 
 
+@pytest.mark.parametrize("name", ["x.jsonl", "x.csv", "x.txt", "x.jsonl.bak"])
+def test_records_format_follows_the_path_unless_given(tmp_path, name):
+    records = [make_record(i, fields={"name": f"n{i}"}) for i in range(3)]
+    fmt = "jsonl" if name.endswith(".jsonl") else "csv"
+    path, given = tmp_path / name, tmp_path / f"given_{name}"
+    write_records(records, str(path))
+    write_records(records, str(given), format=fmt)
+    assert path.read_bytes() == given.read_bytes()
+    first = path.read_text(encoding="utf-8").splitlines()[0]
+    assert first.startswith("{") == (fmt == "jsonl")
+    assert read_records(str(path)) == records
+    # a given format wins over the path
+    other = "csv" if fmt == "jsonl" else "jsonl"
+    write_records(records, str(path), format=other)
+    assert read_records(str(path), format=other) == records
+    with pytest.raises(ParseError):
+        read_records(str(path))
+
+
+def test_records_reject_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unknown record format 'xml'"):
+        write_records([make_record(0)], str(tmp_path / "x.jsonl"), format="xml")
+    with pytest.raises(ValueError, match="unknown record format 'xml'"):
+        read_records(str(tmp_path / "x.jsonl"), format="xml")
+
+
 def test_record_validation_rejects_unknown_flag(tmp_path):
     record = make_record(flags=frozenset({"bogus"}))
     with pytest.raises(ValidationError):

@@ -1037,7 +1037,7 @@ def test_grids_come_in_deskewed_reading_order(right_first, raise_right, sides):
     left, right = sorted(doc.tables, key=lambda t: t.box.x_min)
     right = moved(right, Homography.translation(0.0, -raise_right))
     doc = replace(doc, tables=(right, left) if right_first else (left, right))
-    grids = process_opening(doc, PipelineOptions()).grids
+    grids = process_opening(doc, GridConfig(), ChronoConfig()).grids
     assert [side for side, _ in grids] == sides
     deskewed = [table.box for _, table in deskew_document(doc)[0]]
     assert [grid.table_box for _, grid in grids] == sorted(
@@ -1283,6 +1283,47 @@ def test_eval_warns_of_a_prediction_without_gold(corpus, tmp_path, caplog):
         assert cmd_eval(str(pred_dir), corpus["paths"]["gold"], str(tmp_path / "eval")) == EXIT_OK
     assert "no gold document for zz_extra.jsonl" in caplog.text
     assert "no prediction" not in caplog.text
+
+
+def test_eval_keys_a_page_by_its_book(tmp_path):
+    # two books whose openings share their ids (op0000..op0002) score as
+    # they do with the synth ids, which are unique across books
+    books = [generate_book(SynthConfig(seed=s, year_corruption_prob=0.3), 3) for s in (3, 40)]
+    paths = write_corpus(books, tmp_path / "unique")
+    for kind in ("observed", "gold"):
+        repeated = tmp_path / "repeated" / kind
+        repeated.mkdir(parents=True)
+        for path in Path(paths[kind]).glob("*.jsonl"):
+            doc = read_document(str(path))
+            opening = doc.opening_id.rsplit("_", 1)[1]
+            write_document(replace(doc, opening_id=opening), str(repeated / path.name))
+    runs = []
+    for name in ("unique", "repeated"):
+        out_dir = tmp_path / f"eval_{name}"
+        assert cmd_eval(str(tmp_path / name / "observed"), str(tmp_path / name / "gold"),
+                        str(out_dir)) == EXIT_OK
+        runs.append({report: (out_dir / report).read_bytes() for report in EVAL_REPORTS})
+    assert runs[1] == runs[0]
+    years = read_csv_rows(tmp_path / "eval_repeated" / "year_metrics.csv")
+    assert [row["pages"] for row in years] == ["12", "12"]
+
+
+@pytest.mark.parametrize("rename", [False, True], ids=["synth-ids", "a-book-named-unreadable"])
+def test_extract_counts_no_book_for_an_unreadable_file(tmp_path, rename):
+    assert main(["synth", str(tmp_path / "c"), "--seed", "0", "--books", "2", "--count", "2"]) == EXIT_OK
+    if rename:  # a book id that reads like a placeholder is still a book
+        for path in (tmp_path / "c" / "observed").glob("book0001_*.jsonl"):
+            doc = read_document(str(path))
+            write_document(replace(doc, book_id="<unreadable>"), str(path))
+    broken = tmp_path / "c" / "observed" / "zz_broken.jsonl"
+    broken.write_text("not json\n", encoding="utf-8")
+    records = tmp_path / "records.csv"
+    assert main(["extract", str(tmp_path / "c" / "observed"), str(records)]) == EXIT_PARTIAL
+    summary = json.loads((tmp_path / "records.csv.summary.json").read_text(encoding="utf-8"))
+    assert summary["books"] == 2
+    assert summary["openings_total"] == 5
+    assert summary["counts"]["openings_failed"] == 1
+    assert [path for path, _error in summary["failures"]] == [str(broken)]
 
 
 @pytest.mark.parametrize(

@@ -144,12 +144,11 @@ def test_generate_book_years_monotone():
 
 def test_clean_book_years_recovered_by_inference():
     book = generate_book(SynthConfig(seed=10), 10)
-    from migrec.pipeline import PipelineOptions, process_opening
+    from migrec.pipeline import process_opening
 
-    options = PipelineOptions()
     pages = []
     for fixture in book.openings:
-        result = process_opening(fixture.document, options)
+        result = process_opening(fixture.document, GridConfig(), ChronoConfig())
         pages.extend(result.pages[side] for side in ("left", "right"))
     pages.sort(key=lambda p: (p.opening_id, p.side))
     sequence = infer_sequence(pages, ChronoConfig())

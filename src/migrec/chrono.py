@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import os
-import urllib.request
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
@@ -290,6 +289,8 @@ class HttpCorrectorClient:
     endpoint: str
 
     def correct_years(self, pages_raw: Sequence[Sequence[str]]) -> list[int]:
+        import urllib.request  # the HTTP stack (ssl, http.client, email) loads only for a corrector
+
         payload = "\n".join(";".join(tokens) for tokens in pages_raw).encode("utf-8")
         request = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "text/plain; charset=utf-8"}

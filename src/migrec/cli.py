@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import fields, replace as dc_replace
 from itertools import repeat
 from pathlib import Path
@@ -127,16 +127,24 @@ def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
     return {kw: getattr(args, dest) for kw, dest in pairs if getattr(args, dest, None) is not None}
 
 
-def _settings(cls, args: argparse.Namespace, origins: dict[str, str]):
-    """A settings dataclass from the set options named after its fields; a value
-    it rejects is reported at the config line (``origins``) of each key its message names."""
-    given = _given(args, *(f.name for f in fields(cls)))
+@contextmanager
+def _at_config_lines(origins: dict[str, str], keys):
+    """Report a ``ValueError`` raised in the block at the config line (``origins``)
+    of each of ``keys`` that its message names."""
     try:
-        return cls(**given)
+        yield
     except ValueError as exc:
-        if where := [origins[k] for k in given if k in origins and k in re.findall(r"\w+", str(exc))]:
+        if where := [origins[k] for k in keys if k in origins and k in re.findall(r"\w+", str(exc))]:
             raise ValueError(f"{', '.join(where)}: {exc}") from None
         raise
+
+
+def _settings(cls, args: argparse.Namespace, origins: dict[str, str], **fixed):
+    """A settings dataclass from ``fixed`` and the set options named after its other
+    fields; a value it rejects is reported at the config line of its key."""
+    given = _given(args, *(f.name for f in fields(cls) if f.name not in fixed))
+    with _at_config_lines(origins, given):
+        return cls(**given, **fixed)
 
 
 def _load_schemas(schema_dir: str | None) -> dict:
@@ -189,9 +197,11 @@ def cmd_extract(
     """Extract records from every document under ``in_dir``; book-parallel.
 
     Output is deterministic for any worker count: books are processed
-    share-nothing and merged in sorted order.  Per-opening failures are
-    isolated and tallied; the run continues.  Without ``records_format``
-    the format is the one ``out_path`` names, as for every records path.
+    share-nothing and merged in sorted order.  At most one worker runs per
+    book, and a single worker runs in this process, without a pool.
+    Per-opening failures are isolated and tallied; the run continues.
+    Without ``records_format`` the format is the one ``out_path`` names, as
+    for every records path.
     The summary's ``books`` counts the books of readable headers only.
     """
     if workers < 1:
@@ -202,9 +212,12 @@ def cmd_extract(
         return EXIT_FATAL
     groups = group_documents_by_book(paths)  # in book order, which map keeps
     books = (groups, groups.values(), repeat(options))
+    workers = min(workers, len(groups))  # a worker without a book would only be forked
     if workers == 1:
         results = list(map(process_book, *books))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; a serial run never needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(process_book, *books))
 
@@ -342,7 +355,7 @@ def cmd_normalize(
     books: dict[str, list] = {}
     for record in normalized:
         books.setdefault(record.book_id, []).append(record)
-    duplicates = detect_duplicate_books(books, threshold=dup_threshold)
+    duplicates = detect_duplicate_books(books, dup_threshold)
     removed_books = {pair.remove for pair in duplicates} if drop_duplicates else set()
     kept = [r for r in normalized if r.book_id not in removed_books]
 
@@ -560,14 +573,14 @@ def main(argv: list[str] | None = None) -> int:
         endpoint = getattr(args, "corrector_endpoint", None)  # extract and years only
         corrector = HttpCorrectorClient(endpoint) if endpoint else None
         if args.command == "extract":
-            options = PipelineOptions(
+            options = _settings(
+                PipelineOptions, args, origins,
                 grid=_settings(GridConfig, args, origins),
                 chrono=_settings(ChronoConfig, args, origins),
                 schemas=_load_schemas(args.schema_dir),
                 gazetteer=Gazetteer.from_file(args.gazetteer) if args.gazetteer else None,
                 book_directions=_load_book_directions(args.book_directions),
                 corrector=corrector,
-                **_given(args, "max_rel_dist"),
             )
             workers = _usable_cpus() if args.workers is None else args.workers
             return cmd_extract(
@@ -592,11 +605,12 @@ def main(argv: list[str] | None = None) -> int:
                 args.in_dir, args.out_path, _settings(ChronoConfig, args, origins), corrector=corrector
             )
         if args.command == "normalize":
-            return cmd_normalize(
-                args.records_path, args.out_path, args.gazetteer,
-                usable_only=args.usable_only, report_path=args.report_path,
-                **_given(args, "max_rel_dist", "dup_threshold", "drop_duplicates"),
-            )
+            given = _given(args, "max_rel_dist", "dup_threshold", "drop_duplicates")
+            with _at_config_lines(origins, given):
+                return cmd_normalize(
+                    args.records_path, args.out_path, args.gazetteer,
+                    usable_only=args.usable_only, report_path=args.report_path, **given,
+                )
         if args.command == "aggregate":
             return cmd_aggregate(args.records_path, args.out_dir, parish=args.parish)
         if args.command == "report":

@@ -11,6 +11,7 @@ coordinates with the |a - b| metric.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from statistics import median
@@ -68,6 +69,8 @@ class GridConfig:
             if isinstance(value, str):
                 if value != AUTO_EPS:
                     raise ValueError(f"{name} must be a positive number or {AUTO_EPS!r}")
+            elif not math.isfinite(value):  # NaN passes `value <= 0`
+                raise ValueError(f"{name} must be a finite number, not {value}")
             elif value <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.min_pts < 1:

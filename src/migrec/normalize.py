@@ -10,6 +10,7 @@ meaningfully in them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -233,22 +234,24 @@ def multiset_jaccard(a: dict[tuple, int], b: dict[tuple, int]) -> float:
 
 def detect_duplicate_books(
     books: Mapping[str, Sequence[MigrationRecord]],
-    threshold: float = DUPLICATE_JACCARD_THRESHOLD,
+    dup_threshold: float = DUPLICATE_JACCARD_THRESHOLD,
 ) -> list[DuplicatePair]:
     """Flag book pairs whose record fingerprints overlap almost completely.
 
     Records are fingerprinted by (year, direction, concatenated fields);
-    a pair is duplicated when the fingerprint-multiset Jaccard reaches the
-    threshold.  Whole-book duplication happens when the same physical book
-    was photographed twice.
+    a pair is duplicated when the fingerprint-multiset Jaccard reaches
+    ``dup_threshold``, which must be a finite number.  Whole-book
+    duplication happens when the same physical book was photographed twice.
     """
+    if not math.isfinite(dup_threshold):  # `score >= nan` is never true
+        raise ValueError(f"dup_threshold must be a finite number, not {dup_threshold}")
     prints = {book_id: _fingerprints(records) for book_id, records in books.items()}
     pairs = []
     ids = sorted(prints)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             score = multiset_jaccard(prints[a], prints[b])
-            if score >= threshold:
+            if score >= dup_threshold:
                 pairs.append(DuplicatePair(a, b, score))
     return pairs
 

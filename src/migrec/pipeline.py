@@ -38,6 +38,7 @@ settings it reads:
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -76,6 +77,9 @@ class PipelineOptions:
     max_rel_dist: float = MAX_REL_DIST
     book_directions: dict[str, str] = field(default_factory=dict)
     corrector: CorrectorClient | None = None
+
+    def __post_init__(self) -> None:
+        _check_max_rel_dist(self.max_rel_dist)
 
     def direction_mode(self, book_id: str) -> str:
         mode = self.book_directions.get(book_id, "mixed")
@@ -170,6 +174,12 @@ def read_book(
     return done, failures
 
 
+def _check_max_rel_dist(max_rel_dist: float) -> None:
+    # `rel <= nan` is never true: a NaN cap would turn every fuzzy match into `unmatched`
+    if not math.isfinite(max_rel_dist):
+        raise ValueError(f"max_rel_dist must be a finite number, not {max_rel_dist}")
+
+
 def match_parishes(
     records: Sequence[MigrationRecord], gazetteer: Gazetteer, max_rel_dist: float
 ) -> tuple[list[MigrationRecord], Counter]:
@@ -178,8 +188,10 @@ def match_parishes(
     Returns the records, matched or flagged ``unmatched_parish``, and a
     tally of match methods.  A book repeats few distinct parish strings,
     so each distinct string is matched once; the memo lives for this call
-    only, so every call does the work a fresh run does.
+    only, so every call does the work a fresh run does.  A NaN or infinite
+    ``max_rel_dist`` is a ``ValueError``.
     """
+    _check_max_rel_dist(max_rel_dist)
     memo: dict[str, MatchResult] = {}
     methods: Counter = Counter()
     matched = []

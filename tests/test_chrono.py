@@ -257,7 +257,8 @@ def test_external_jump_violation_rejected():
     assert external_correct(pages, EchoClient([1877, 1890])) == infer_sequence(pages)
 
 
-def test_http_client_payload_and_parse(monkeypatch):
+def corrector_request(monkeypatch) -> dict:
+    """What ``HttpCorrectorClient`` sends for two pages, with urlopen stubbed out."""
     captured = {}
 
     class FakeResponse:
@@ -273,16 +274,33 @@ def test_http_client_payload_and_parse(monkeypatch):
     def fake_urlopen(request, timeout):
         captured["url"] = request.full_url
         captured["body"] = request.data.decode("utf-8")
+        captured["headers"] = dict(request.header_items())  # names as urllib stores them
         captured["timeout"] = timeout
         return FakeResponse()
 
-    monkeypatch.setenv("MIGREC_CORRECTOR_KEY", "secret")
     monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     client = HttpCorrectorClient("http://corrector.local/years")
-    years = client.correct_years([["1877", "18?7"], ["1878"]])
-    assert years == [1877, 1878]
+    captured["years"] = client.correct_years([["1877", "18?7"], ["1878"]])
+    return captured
+
+
+def test_http_client_payload_and_parse(monkeypatch):
+    monkeypatch.setenv("MIGREC_CORRECTOR_KEY", "secret")
+    captured = corrector_request(monkeypatch)
+    assert captured["years"] == [1877, 1878]
+    assert captured["url"] == "http://corrector.local/years"
     assert captured["body"] == "1877;18?7\n1878"
     assert captured["timeout"] == 30.0
+    assert captured["headers"] == {
+        "Content-type": "text/plain; charset=utf-8", "Authorization": "Bearer secret",
+    }
+
+
+def test_http_client_sends_no_credential_without_a_key(monkeypatch):
+    monkeypatch.delenv("MIGREC_CORRECTOR_KEY", raising=False)
+    captured = corrector_request(monkeypatch)
+    assert captured["years"] == [1877, 1878]
+    assert captured["headers"] == {"Content-type": "text/plain; charset=utf-8"}
 
 
 # --- evaluate_years ---------------------------------------------------------------

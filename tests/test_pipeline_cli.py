@@ -41,7 +41,7 @@ from migrec.interchange import (
     write_records,
 )
 from migrec import pipeline
-from migrec.normalize import Gazetteer, match_parish
+from migrec.normalize import Gazetteer, detect_duplicate_books, match_parish
 from migrec.pipeline import (
     EVAL_REPORTS,
     PipelineOptions,
@@ -109,6 +109,29 @@ def test_extract_is_worker_count_invariant(corpus, tmp_path):
         assert code == EXIT_OK
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_extract_starts_no_more_workers_than_books(corpus, cli_corpus, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    for name, observed, pools in (("one", cli_corpus / "observed", []),
+                                  ("three", corpus["paths"]["observed"], [3])):
+        outputs = []
+        for workers in (1, 4):
+            out_path = tmp_path / f"{name}_{workers}.jsonl"
+            assert cmd_extract(str(observed), str(out_path), PipelineOptions(), workers=workers) == EXIT_OK
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert started == pools, name  # one book runs in this process, three get three workers
+        started.clear()
 
 
 def test_parish_memo_gives_the_unmemoized_records(tmp_path, monkeypatch):
@@ -958,8 +981,10 @@ def test_one_config_file_serves_every_subcommand(cli_corpus, tmp_path):
      ("min_year = 1950\n", (1,), "min_year must not exceed max_year"),
      ("max_year = 1690\n# both named\nmin_year = 1750\n", (3, 1),
       "min_year must not exceed max_year"),
-     ("max_jump = -2\n", (1,), "max_jump must be non-negative")],
-    ids=["eps-row", "min-pts", "min-year", "both-years", "max-jump"],
+     ("max_jump = -2\n", (1,), "max_jump must be non-negative"),
+     ("eps_row = nan\n", (1,), "eps_row must be a finite number, not nan"),
+     ("workers = 1\neps_col = inf\n", (2,), "eps_col must be a finite number, not inf")],
+    ids=["eps-row", "min-pts", "min-year", "both-years", "max-jump", "eps-row-nan", "eps-col-inf"],
 )
 def test_a_config_value_the_library_rejects_names_its_line(
     cli_corpus, tmp_path, caplog, text, lines, message
@@ -986,6 +1011,57 @@ def test_a_flag_value_the_library_rejects_keeps_its_message(
     args = ["eval", str(cli_corpus / "observed"), str(cli_corpus / "gold"), str(tmp_path / "e")]
     assert main(["--config", config, *args, *flags]) == EXIT_FATAL
     assert caplog.text.rstrip().endswith(f"fatal: {message}")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["eps_row", "eps_col"])
+def test_a_non_finite_eps_is_rejected(cli_corpus, tmp_path, caplog, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, not {value}$"):
+        GridConfig(**{name: value})
+    records = tmp_path / "records.csv"
+    flag = f"--{name.replace('_', '-')}={value}"  # "=" keeps argparse from reading "-inf" as a flag
+    assert main([*extract_args(cli_corpus, records), flag]) == EXIT_FATAL
+    assert caplog.text.rstrip().endswith(f"fatal: {name} must be a finite number, not {value}")
+    assert not records.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_max_rel_dist_is_rejected(corpus, cli_corpus, tmp_path, caplog, value):
+    message = f"max_rel_dist must be a finite number, not {value}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PipelineOptions(max_rel_dist=value)
+    gazetteer = Gazetteer.from_file(corpus["paths"]["gazetteer"])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pipeline.match_parishes(corpus["gold_records"], gazetteer, value)
+    records = tmp_path / "records.csv"
+    assert main([*extract_args(cli_corpus, records), f"--max-rel-dist={value}"]) == EXIT_FATAL
+    assert caplog.text.rstrip().endswith(f"fatal: {message}")
+    assert not records.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_dup_threshold_is_rejected(value):
+    books = {"a": [], "b": []}
+    with pytest.raises(ValueError, match=f"^dup_threshold must be a finite number, not {value}$"):
+        detect_duplicate_books(books, value)
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("extract", "max_rel_dist"), ("normalize", "max_rel_dist"), ("normalize", "dup_threshold")],
+)
+def test_a_non_finite_parish_setting_names_its_config_line(corpus, tmp_path, caplog, command, key):
+    paths = corpus["paths"]
+    records = str(tmp_path / "records.jsonl")
+    write_records(corpus["gold_records"], records)
+    config = write_config(tmp_path, f"drop_duplicates = yes\n{key} = nan\n")
+    out = tmp_path / "out.jsonl"
+    args = {"extract": ["extract", paths["observed"], str(out), "--workers", "1",
+                        "--gazetteer", paths["gazetteer"]],
+            "normalize": ["normalize", records, str(out), "--gazetteer", paths["gazetteer"]]}
+    assert main(["--config", config, *args[command]]) == EXIT_FATAL
+    assert caplog.text.rstrip().endswith(f"fatal: {config}:2: {key} must be a finite number, not nan")
+    assert not out.exists()
 
 
 def moved(table: TableDetection, h: Homography) -> TableDetection:

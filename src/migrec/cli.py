@@ -17,7 +17,6 @@ import os
 import re
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import fields, replace as dc_replace
 from itertools import repeat
 from pathlib import Path
@@ -26,6 +25,7 @@ from .cells import read_schema_file
 from .chrono import ChronoConfig, HttpCorrectorClient
 from .gridrec import GridConfig, parse_eps
 from .interchange import (
+    LAYOUT_TYPES,
     content_lines,
     read_document,
     read_records,
@@ -119,42 +119,30 @@ def _apply_config(args: argparse.Namespace, path: str, parser: argparse.Argument
     return origins
 
 
-def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
-    """Keyword arguments of the options that a flag or the config file set,
-    each under its own name or, in ``renamed``, under the keyword mapped to it.
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """Keyword arguments of the named options that a flag or the config file set.
     An option is unset when it is ``None`` or, with a suppressed default, absent."""
-    pairs = [(name, name) for name in names] + list(renamed.items())
-    return {kw: getattr(args, dest) for kw, dest in pairs if getattr(args, dest, None) is not None}
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
-@contextmanager
-def _at_config_lines(origins: dict[str, str], keys):
-    """Report a ``ValueError`` raised in the block at the config line (``origins``)
-    of each of ``keys`` that its message names."""
-    try:
-        yield
-    except ValueError as exc:
-        if where := [origins[k] for k in keys if k in origins and k in re.findall(r"\w+", str(exc))]:
-            raise ValueError(f"{', '.join(where)}: {exc}") from None
-        raise
-
-
-def _settings(cls, args: argparse.Namespace, origins: dict[str, str], **fixed):
-    """A settings dataclass from ``fixed`` and the set options named after its other
-    fields; a value it rejects is reported at the config line of its key."""
-    given = _given(args, *(f.name for f in fields(cls) if f.name not in fixed))
-    with _at_config_lines(origins, given):
-        return cls(**given, **fixed)
+def _settings(cls, args: argparse.Namespace, **fixed):
+    """A settings dataclass from ``fixed`` and the set options named after its other fields."""
+    return cls(**_given(args, *(f.name for f in fields(cls) if f.name not in fixed)), **fixed)
 
 
 def _load_schemas(schema_dir: str | None) -> dict:
-    """One column schema per ``<layout>.tsv`` file; a directory without any is an error."""
+    """One column schema per ``<layout>.tsv`` file; a directory without any, or a
+    file named for no layout type, is an error."""
     if not schema_dir:
         return {}
     paths = sorted(Path(schema_dir).glob("*.tsv"))
     if not paths:
         problem = "holds no *.tsv schema file" if Path(schema_dir).is_dir() else "is not a directory"
         raise ValueError(f"schema directory {schema_dir} {problem}")
+    for path in paths:
+        if path.stem not in LAYOUT_TYPES:
+            raise ValueError(f"schema file {path} names no layout type; expected one of "
+                             f"{', '.join(f'{t}.tsv' for t in LAYOUT_TYPES)}")
     return {path.stem: read_schema_file(str(path)) for path in paths}
 
 
@@ -568,15 +556,17 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    origins: dict[str, str] = {}  # config key -> the file:line that set it
     try:
-        origins = _apply_config(args, args.config, parser) if args.config else {}
+        if args.config:
+            origins = _apply_config(args, args.config, parser)
         endpoint = getattr(args, "corrector_endpoint", None)  # extract and years only
         corrector = HttpCorrectorClient(endpoint) if endpoint else None
         if args.command == "extract":
             options = _settings(
-                PipelineOptions, args, origins,
-                grid=_settings(GridConfig, args, origins),
-                chrono=_settings(ChronoConfig, args, origins),
+                PipelineOptions, args,
+                grid=_settings(GridConfig, args),
+                chrono=_settings(ChronoConfig, args),
                 schemas=_load_schemas(args.schema_dir),
                 gazetteer=Gazetteer.from_file(args.gazetteer) if args.gazetteer else None,
                 book_directions=_load_book_directions(args.book_directions),
@@ -585,37 +575,40 @@ def main(argv: list[str] | None = None) -> int:
             workers = _usable_cpus() if args.workers is None else args.workers
             return cmd_extract(
                 args.in_dir, args.out_path, options, workers=workers,
-                summary_path=args.summary_path, **_given(args, records_format="format"),
+                records_format=args.format, summary_path=args.summary_path,
             )
         if args.command == "eval":
             return cmd_eval(
                 args.pred_dir, args.gold_dir, args.out_dir,
-                grid_cfg=_settings(GridConfig, args, origins),
-                chrono_cfg=_settings(ChronoConfig, args, origins),
+                grid_cfg=_settings(GridConfig, args),
+                chrono_cfg=_settings(ChronoConfig, args),
             )
         if args.command == "synth":
             # the nargs=2 flags parse to lists, and SynthConfig's ranges are tuples
             args = argparse.Namespace(**{k: tuple(v) if type(v) is list else v for k, v in vars(args).items()})
             return cmd_synth(
-                args.out_dir, _settings(SynthConfig, args, origins),
+                args.out_dir, _settings(SynthConfig, args),
                 **_given(args, "books", "openings_per_book", "records_format"),
             )
         if args.command == "years":
             return cmd_years(
-                args.in_dir, args.out_path, _settings(ChronoConfig, args, origins), corrector=corrector
+                args.in_dir, args.out_path, _settings(ChronoConfig, args), corrector=corrector
             )
         if args.command == "normalize":
-            given = _given(args, "max_rel_dist", "dup_threshold", "drop_duplicates")
-            with _at_config_lines(origins, given):
-                return cmd_normalize(
-                    args.records_path, args.out_path, args.gazetteer,
-                    usable_only=args.usable_only, report_path=args.report_path, **given,
-                )
+            return cmd_normalize(
+                args.records_path, args.out_path, args.gazetteer,
+                usable_only=args.usable_only, report_path=args.report_path,
+                **_given(args, "max_rel_dist", "dup_threshold", "drop_duplicates"),
+            )
         if args.command == "aggregate":
             return cmd_aggregate(args.records_path, args.out_dir, parish=args.parish)
         if args.command == "report":
             return cmd_report(args.eval_dir)
     except Exception as exc:
+        # the config lines of the keys the message names go first, in the order it names them
+        named = dict.fromkeys(re.findall(r"\w+", str(exc)))
+        if where := ", ".join(origins[k] for k in named if k in origins):
+            exc = f"{where}: {exc}"
         log.error("fatal: %s", exc)
         return EXIT_FATAL
     return EXIT_FATAL

@@ -11,13 +11,12 @@ coordinates with the |a - b| metric.
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from statistics import median
 from typing import Literal, Sequence
 
-from .interchange import Box, CellHypothesis, value_type
+from .interchange import Box, CellHypothesis, check_finite, value_type
 
 log = logging.getLogger(__name__)
 
@@ -69,10 +68,10 @@ class GridConfig:
             if isinstance(value, str):
                 if value != AUTO_EPS:
                     raise ValueError(f"{name} must be a positive number or {AUTO_EPS!r}")
-            elif not math.isfinite(value):  # NaN passes `value <= 0`
-                raise ValueError(f"{name} must be a finite number, not {value}")
-            elif value <= 0:
-                raise ValueError(f"{name} must be positive")
+            else:
+                check_finite(name, value)
+                if value <= 0:
+                    raise ValueError(f"{name} must be positive")
         if self.min_pts < 1:
             raise ValueError("min_pts must be at least 1")
 

@@ -304,6 +304,13 @@ def _is_finite(value) -> bool:
         return False
 
 
+def check_finite(name: str, value) -> None:
+    """Reject a numeric setting that is not a finite number: a NaN passes every
+    ``<`` and ``<=`` test against it, and an infinity passes every upper bound."""
+    if not _is_finite(value):
+        raise ValueError(f"{name} must be a finite number, not {value}")
+
+
 def _require_finite(obj, names: Sequence[str], path: str) -> None:
     """Raise at ``path.name`` for the first named field that is not finite."""
     for name in names:

@@ -10,12 +10,11 @@ meaningfully in them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .evaluation import edit_distance
-from .interchange import MigrationRecord, content_lines
+from .interchange import MigrationRecord, check_finite, content_lines
 
 REJECTION_REASONS = ("missing_direction", "missing_year", "missing_parish", "unmatched_parish")
 
@@ -243,8 +242,7 @@ def detect_duplicate_books(
     ``dup_threshold``, which must be a finite number.  Whole-book
     duplication happens when the same physical book was photographed twice.
     """
-    if not math.isfinite(dup_threshold):  # `score >= nan` is never true
-        raise ValueError(f"dup_threshold must be a finite number, not {dup_threshold}")
+    check_finite("dup_threshold", dup_threshold)
     prints = {book_id: _fingerprints(records) for book_id, records in books.items()}
     pairs = []
     ids = sorted(prints)

@@ -31,14 +31,13 @@ settings it reads:
 - :func:`score_opening` scores one opening against its gold document and
   :func:`eval_reports` merges the scores into the report rows (``eval``).
 
-:class:`PipelineOptions` holds ``extract``'s settings alone;
-:func:`process_book` passes each step the ones it reads.
+:class:`PipelineOptions` holds ``extract``'s settings alone and rejects a
+bad one when it is made; :func:`process_book` passes each step the ones it reads.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -58,7 +57,7 @@ from .gridrec import GridConfig, GridTable, complete_grid_with_retry
 from .gridrec import merge_split_tables  # noqa: F401
 from .interchange import (
     CELL_CLASSES, LAYOUT_TYPES, Box, CellHypothesis, CellLine, DetectionDocument, MigrationRecord,
-    TableDetection, decode_json_line, dominant_class, parse_header, read_document,
+    TableDetection, check_finite, decode_json_line, dominant_class, parse_header, read_document,
 )
 from .normalize import MAX_REL_DIST, Gazetteer, MatchResult, match_parish
 
@@ -79,13 +78,10 @@ class PipelineOptions:
     corrector: CorrectorClient | None = None
 
     def __post_init__(self) -> None:
-        _check_max_rel_dist(self.max_rel_dist)
-
-    def direction_mode(self, book_id: str) -> str:
-        mode = self.book_directions.get(book_id, "mixed")
-        if mode not in DIRECTION_MODES:
-            raise ValueError(f"unknown direction mode {mode!r} for book {book_id}")
-        return mode
+        check_finite("max_rel_dist", self.max_rel_dist)
+        for book_id, mode in self.book_directions.items():
+            if mode not in DIRECTION_MODES:
+                raise ValueError(f"unknown direction mode {mode!r} for book {book_id}")
 
 
 def deskew_document(
@@ -160,24 +156,23 @@ def read_book(
     """Apply ``step`` to each of a book's documents, read in path order.
 
     Returns ``(done, failures)``: ``done`` maps each path to its result, in
-    path order.  A file that cannot be read or processed is logged as
-    ``skipping <path>: <error>`` and listed in ``failures`` as ``(path, error)``.
+    path order.  A file that cannot be read or processed, or whose opening id
+    an earlier file of the book has, is logged as ``skipping <path>: <error>``
+    and listed in ``failures`` as ``(path, error)``.
     """
     done: dict[str, T] = {}
     failures: list[tuple[str, str]] = []
+    first: dict[str, str] = {}  # opening id -> the first path that has it
     for path in sorted(paths):
         try:
-            done[str(path)] = step(read_document(path))
+            doc = read_document(path)
+            if (earlier := first.setdefault(doc.opening_id, str(path))) != str(path):
+                raise ValueError(f"opening {doc.opening_id} repeats {earlier}")
+            done[str(path)] = step(doc)
         except Exception as exc:
             log.warning("skipping %s: %s", path, exc)
             failures.append((str(path), str(exc)))
     return done, failures
-
-
-def _check_max_rel_dist(max_rel_dist: float) -> None:
-    # `rel <= nan` is never true: a NaN cap would turn every fuzzy match into `unmatched`
-    if not math.isfinite(max_rel_dist):
-        raise ValueError(f"max_rel_dist must be a finite number, not {max_rel_dist}")
 
 
 def match_parishes(
@@ -191,7 +186,7 @@ def match_parishes(
     only, so every call does the work a fresh run does.  A NaN or infinite
     ``max_rel_dist`` is a ``ValueError``.
     """
-    _check_max_rel_dist(max_rel_dist)
+    check_finite("max_rel_dist", max_rel_dist)
     memo: dict[str, MatchResult] = {}
     methods: Counter = Counter()
     matched = []
@@ -446,7 +441,7 @@ def process_book(
                           options.corrector)
     resolved = {(p.opening_id, p.side): p for p in sequence.pages}
 
-    mode = options.direction_mode(book_id)
+    mode = options.book_directions.get(book_id, "mixed")
     records: list[MigrationRecord] = []
     for opening in openings:
         schema = options.schemas.get(opening.layout_type)

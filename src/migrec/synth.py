@@ -36,6 +36,7 @@ from .interchange import (
     TableDetection,
     TextHypothesis,
     YearDetection,
+    check_finite,
     write_csv,
     write_document,
     write_records,
@@ -126,6 +127,9 @@ class SynthConfig:
             raise ValueError("tables need at least 2 rows and 2 columns")
         if self.cols[1] > 5:
             raise ValueError("the column template supports at most 5 columns")
+        for value in self.skew_degrees:
+            check_finite("skew_degrees", value)
+        check_finite("border_jitter", self.border_jitter)
         if self.skew_degrees[0] > self.skew_degrees[1]:
             raise ValueError("skew range must be non-empty")
         if self.border_jitter < 0:

@@ -444,6 +444,30 @@ def test_years_skips_a_malformed_document(corpus, tmp_path, caplog, kind):
     assert main(["extract", str(in_dir), str(tmp_path / "records.csv")]) == EXIT_PARTIAL
 
 
+def test_a_repeated_opening_id_is_skipped_and_named(tmp_path, caplog):
+    synth_dir = tmp_path / "c"
+    assert main(["synth", str(synth_dir), "--seed", "3", "--count", "6"]) == EXIT_OK
+    observed = synth_dir / "observed"
+    first, last = observed / "book0003_op0000.jsonl", observed / "book0003_op0005.jsonl"
+    rest = tmp_path / "rest"  # the corpus without the last document
+    shutil.copytree(observed, rest)
+    (rest / last.name).unlink()
+    for command in ("extract", "years"):
+        assert main([command, str(rest), str(tmp_path / f"{command}_rest.csv")]) == EXIT_OK
+    last.write_text(last.read_text(encoding="utf-8").replace("book0003_op0005", "book0003_op0000"),
+                    encoding="utf-8")
+
+    failure = f"opening book0003_op0000 repeats {first}"
+    for command in ("extract", "years"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, str(observed), str(out)]) == EXIT_PARTIAL
+        assert out.read_bytes() == (tmp_path / f"{command}_rest.csv").read_bytes()
+    assert f"skipping {last}: {failure}" in caplog.text
+    summary = json.loads((tmp_path / "extract.csv.summary.json").read_text(encoding="utf-8"))
+    assert summary["failures"] == [[str(last), failure]]
+    assert "year_interpolated" not in summary["counts"]
+
+
 def test_a_leading_blank_line_keeps_a_document_in_its_book(corpus, tmp_path):
     in_dir = tmp_path / "docs"
     shutil.copytree(corpus["paths"]["observed"], in_dir)
@@ -780,6 +804,18 @@ def test_a_schema_dir_without_schemas_is_fatal(cli_corpus, tmp_path, caplog, kin
     assert not records.exists()
 
 
+def test_a_schema_file_named_for_no_layout_is_fatal(cli_corpus, tmp_path, caplog):
+    schema_dir = tmp_path / "schemas"
+    schema_dir.mkdir()
+    shutil.copy(cli_corpus / "schemas" / "preprinted.tsv", schema_dir / "preprint.tsv")
+    records = tmp_path / "records.csv"
+    args = ["extract", str(cli_corpus / "observed"), str(records), "--schema-dir", str(schema_dir)]
+    assert main(args) == EXIT_FATAL
+    assert f"fatal: schema file {schema_dir / 'preprint.tsv'} names no layout type" in caplog.text
+    assert "handdrawn.tsv, preprinted.tsv, half_table.tsv, free_text.tsv, other.tsv" in caplog.text
+    assert not records.exists()
+
+
 @pytest.mark.parametrize(
     "name, text, message",
     [("schema", "ref\tnumeric;x\n", ":1: avg_len 'x' is not a number"),
@@ -891,6 +927,14 @@ def test_a_worker_count_below_one_is_fatal(cli_corpus, tmp_path, caplog, workers
     assert not records.exists()
 
 
+def test_a_config_value_a_command_rejects_names_its_line(cli_corpus, tmp_path, caplog):
+    config = write_config(tmp_path, "workers = 0\n")
+    records = tmp_path / "r.csv"
+    assert main(["--config", config, "extract", str(cli_corpus / "observed"), str(records)]) == EXIT_FATAL
+    assert caplog.text.rstrip().endswith(f"fatal: {config}:1: workers must be at least 1")
+    assert not records.exists()
+
+
 def test_the_default_worker_count_is_the_cpus_this_process_may_run_on(
     cli_corpus, tmp_path, monkeypatch
 ):
@@ -947,6 +991,25 @@ def test_each_synth_flag_reaches_its_field(monkeypatch, flags, call):
     monkeypatch.setattr("migrec.cli.cmd_synth", lambda out_dir, cfg, **kw: seen.update(cfg=cfg, **kw))
     main(["synth", "out", *flags])
     assert seen == call  # a range is a tuple: SynthConfig(cols=[3, 5]) != SynthConfig(cols=(3, 5))
+
+
+@pytest.mark.parametrize(
+    "flags, name, value",
+    [(["--border-jitter", "nan"], "border_jitter", "nan"),
+     (["--border-jitter", "inf"], "border_jitter", "inf"),
+     (["--skew", "nan", "nan"], "skew_degrees", "nan"),
+     (["--skew", "0", "inf"], "skew_degrees", "inf")],
+    ids=["jitter-nan", "jitter-inf", "skew-nan", "skew-inf"],
+)
+def test_a_non_finite_synth_setting_is_rejected(tmp_path, caplog, flags, name, value):
+    message = f"{name} must be a finite number, not {value}"
+    setting = float(value) if name == "border_jitter" else (0.0, float(value))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SynthConfig(**{name: setting})
+    out = tmp_path / "c"
+    assert main(["synth", str(out), "--count", "2", *flags]) == EXIT_FATAL
+    assert caplog.text.rstrip().endswith(f"fatal: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["seed", "openings_per_book", "skew_degrees"])
@@ -1140,6 +1203,29 @@ def test_bad_book_directions_file_fails_before_any_book(tmp_path, caplog, line):
     assert not records.exists()  # no book was processed
     with pytest.raises(ValueError, match=r"directions\.tsv:3: "):
         _load_book_directions(str(directions))
+
+
+def test_book_directions_set_the_direction_of_every_record_of_a_listed_book(tmp_path):
+    synth_dir = tmp_path / "c"
+    assert main(["synth", str(synth_dir), "--seed", "4", "--books", "3", "--count", "2"]) == EXIT_OK
+    directions = tmp_path / "directions.tsv"
+    directions.write_text("book0004\tin\nbook0005\tout\n", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    assert main(["extract", str(synth_dir / "observed"), str(records), "--workers", "1",
+                 "--book-directions", str(directions)]) == EXIT_OK
+    seen: dict[str, set] = {}
+    for record in read_records(str(records)):
+        seen.setdefault(record.book_id, set()).add((record.page_side, record.direction))
+    assert seen == {
+        "book0004": {("left", "in"), ("right", "in")},
+        "book0005": {("left", "out"), ("right", "out")},
+        "book0006": {("left", "in"), ("right", "out")},  # unlisted: mixed
+    }
+
+
+def test_pipeline_options_reject_an_unknown_direction_mode():
+    with pytest.raises(ValueError, match="^unknown direction mode 'sideways' for book b$"):
+        PipelineOptions(book_directions={"b": "sideways"})
 
 
 def test_extract_without_keypoints(corpus, tmp_path):

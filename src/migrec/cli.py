@@ -27,7 +27,6 @@ from .gridrec import GridConfig, parse_eps
 from .interchange import (
     LAYOUT_TYPES,
     content_lines,
-    read_document,
     read_records,
     write_csv,
     write_json,
@@ -52,6 +51,7 @@ from .pipeline import (
 # Not called here; perfbench/tracing.py wraps these names on this module too.
 from .pipeline import complete_grid_with_retry, deskew_transforms, infer_sequence  # noqa: F401
 from .pipeline import normalize_year_token, transform_box  # noqa: F401
+from .interchange import read_document  # noqa: F401
 from .synth import SynthConfig, generate_book, write_corpus
 
 log = logging.getLogger(__name__)
@@ -247,10 +247,10 @@ def cmd_eval(
 ) -> int:
     """Score predicted documents against the gold documents of the same file name.
 
-    Pairs are scored in file-name order, and the reports that
-    :func:`~migrec.pipeline.eval_reports` merges from the scores are written
-    as CSV files under ``out_dir``.  Two documents of one name under the same
-    directory are a fatal error; a table whose grid fails makes the run partial.
+    Each book's predicted files and their gold counterparts are read with
+    :func:`~migrec.pipeline.read_book`.  A pair whose sides were both read and name one
+    opening is scored; any other is skipped and named, and the run is partial, as for a
+    failed grid.  Two documents of one name under the same directory are fatal.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -273,24 +273,28 @@ def cmd_eval(
     for name in sorted(set(pred_files) - set(gold_files)):
         log.warning("no gold document for %s", name)
 
-    scores = []
-    for name in shared:
-        try:
-            path = gold_files[name]
-            gold_doc = read_document(path)
-            path = pred_files[name]
-            pred_doc = read_document(path)
-        except (OSError, ValueError) as exc:
-            log.error("fatal: %s: %s", path, exc)
-            return EXIT_FATAL
-        scores.append(score_opening(pred_doc, gold_doc, grid_cfg, chrono_cfg))
+    scores = {}  # file name -> score; the documents of one book are held at a time
+    for paths in group_documents_by_book([pred_files[name] for name in shared]).values():
+        names = [Path(path).name for path in paths]
+        pred, _ = read_book(paths, lambda doc: doc)  # each skipped file is logged
+        gold, _ = read_book([gold_files[name] for name in names], lambda doc: doc)
+        for name in names:
+            pred_doc, gold_doc = pred.get(pred_files[name]), gold.get(gold_files[name])
+            if pred_doc is None or gold_doc is None:
+                continue
+            if (pred_doc.book_id, pred_doc.opening_id) != (gold_doc.book_id, gold_doc.opening_id):
+                log.warning("skipping %s: opening %s/%s, but %s has %s/%s", pred_files[name], pred_doc.book_id,
+                            pred_doc.opening_id, gold_files[name], gold_doc.book_id, gold_doc.opening_id)
+                continue
+            scores[name] = score_opening(pred_doc, gold_doc, grid_cfg, chrono_cfg)
+    scores = [scores[name] for name in shared if name in scores]  # in file-name order
     for name, (header, rows) in eval_reports(scores, chrono_cfg).items():
         write_csv(out / name, header, rows)
     log.info("evaluation reports written to %s", out)
     if failed := sum(len(score.failures) for score in scores):
         log.warning("grid reconstruction failed for %d tables; their rows and columns "
                     "are not scored", failed)
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return EXIT_PARTIAL if failed or len(scores) < len(shared) else EXIT_OK  # a pair was skipped
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ settings it reads:
 
 - :func:`read_book` reads a book's documents in path order, applies one
   step to each (``extract``: :func:`process_opening`, ``years``:
-  :func:`collect_years`), and logs, lists and skips a file that fails;
+  :func:`collect_years`, ``eval``: none), and skips and names a file that fails;
 - :func:`process_opening` de-skews an opening's tables, builds one grid
   per table under the grid settings and collects its year pages under the
   year range (``extract`` through :func:`process_book`, and ``eval``

@@ -508,10 +508,10 @@ def test_eval_fatal_error_names_the_file(corpus, tmp_path, caplog):
     shutil.copytree(corpus["paths"]["observed"], pred_dir)
     broken = sorted(pred_dir.glob("*.jsonl"))[1]
     broken.write_text(broken.read_text(encoding="utf-8")[:300], encoding="utf-8")
-    with caplog.at_level("ERROR", logger="migrec.cli"):
-        code = main(["eval", str(pred_dir), corpus["paths"]["gold"], str(tmp_path / "eval")])
-    assert code == EXIT_FATAL
-    assert f"fatal: {broken}: line 1: invalid JSON" in caplog.text
+    code = main(["eval", str(pred_dir), corpus["paths"]["gold"], str(tmp_path / "eval")])
+    assert code == EXIT_PARTIAL
+    assert f"skipping {broken}: line 1: invalid JSON" in caplog.text
+    assert all((tmp_path / "eval" / report).exists() for report in EVAL_REPORTS)
 
 
 def test_deskew_document_without_keypoints_keeps_tables(corpus):
@@ -1468,6 +1468,46 @@ def test_eval_keys_a_page_by_its_book(tmp_path):
     assert runs[1] == runs[0]
     years = read_csv_rows(tmp_path / "eval_repeated" / "year_metrics.csv")
     assert [row["pages"] for row in years] == ["12", "12"]
+
+
+def _cut(text):  # the last line loses its end, so it is not JSON
+    return text.rstrip()[:-10]
+
+
+def _id(new_id):
+    return lambda text: text.replace("book0003_op0005", new_id)
+
+
+@pytest.mark.parametrize(
+    "name, edited, edit",
+    [
+        ("book0003_op0002.jsonl", ("observed",), _cut),
+        ("book0003_op0002.jsonl", ("gold",), _cut),
+        ("book0003_op0005.jsonl", ("observed", "gold"), _id("book0003_op0000")),
+        ("book0003_op0005.jsonl", ("observed",), _id("book0003_op0000")),
+        ("book0003_op0005.jsonl", ("observed",), _id("book0003_op0099")),
+    ],
+    ids=["truncated-prediction", "truncated-gold", "repeated-id", "repeated-id-in-prediction",
+         "mismatched-id"],
+)
+def test_eval_skips_and_names_a_broken_pair_as_if_it_were_absent(tmp_path, caplog, name, edited, edit):
+    synth_dir = tmp_path / "c"
+    assert main(["synth", str(synth_dir), "--seed", "3", "--count", "6"]) == EXIT_OK
+    rest = tmp_path / "rest"  # both directories without the pair
+    for kind in ("observed", "gold"):
+        shutil.copytree(synth_dir / kind, rest / kind)
+        (rest / kind / name).unlink()
+    assert cmd_eval(str(rest / "observed"), str(rest / "gold"), str(tmp_path / "eval_rest")) == EXIT_OK
+    for kind in edited:
+        path = synth_dir / kind / name
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+    out_dir = tmp_path / "eval"
+    assert cmd_eval(str(synth_dir / "observed"), str(synth_dir / "gold"), str(out_dir)) == EXIT_PARTIAL
+    for kind in ("observed", "gold"):
+        assert (f"skipping {synth_dir / kind / name}: " in caplog.text) == (kind in edited), kind
+    for report in EVAL_REPORTS:
+        assert (out_dir / report).read_bytes() == (tmp_path / "eval_rest" / report).read_bytes(), report
 
 
 @pytest.mark.parametrize("rename", [False, True], ids=["synth-ids", "a-book-named-unreadable"])
